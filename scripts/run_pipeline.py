@@ -15,7 +15,7 @@ from pathlib import Path
 from mal2gcn.attack import AttackConfig, attack_sweep, check_monotonicity, write_attack_report, write_benign_pool
 from mal2gcn.fcg import Corpus, LABEL_MALWARE, write_corpus
 from mal2gcn.featurize import build_vocabulary, write_vocabulary
-from mal2gcn.gcn import prepare_fcg, save_model, score_prepared
+from mal2gcn.gcn import save_model, score_graphs
 from mal2gcn.metrics import compute_metrics, write_metrics_report
 from mal2gcn.synth import SynthConfig, generate_corpus, split_corpus
 from mal2gcn.train import TrainConfig, train, write_train_report
@@ -53,7 +53,6 @@ def main():
     vocab = build_vocabulary(tr)
     write_vocabulary(vocab, work / "vocab.tsv")
 
-    test_prepared = [prepare_fcg(g, vocab) for g in te]
     test_labels = [1 if g.label == LABEL_MALWARE else 0 for g in te]
     malware = Corpus(tuple(g for g in te if g.label == LABEL_MALWARE))
 
@@ -69,7 +68,7 @@ def main():
         save_model(model, work / f"model.{variant}.txt", vocab)
         write_train_report(report, work / f"train.{variant}.txt", {"seed": args.seed})
 
-        scores = score_prepared(model, test_prepared)
+        scores = score_graphs(model, te, vocab)
         metrics = compute_metrics(list(zip(scores, test_labels)))
         write_metrics_report(metrics, work / f"metrics.{variant}.txt", {"seed": args.seed})
 

@@ -22,6 +22,7 @@ from .gcn import (
     loss_and_gradients,
     project_nonnegative,
     save_model,
+    score_graphs,
 )
 from .train import TrainConfig, TrainReport, train
 from .attack import (

@@ -7,12 +7,11 @@ percentage of the victim graph's original token count.
 """
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fcg import Corpus, DataError, Fcg, FormatError, FunctionNode, LABEL_MALWARE, normalize_fcg
+from .fcg import Corpus, DataError, Fcg, FormatError, FunctionNode, LABEL_MALWARE, normalize_fcg, read_lines
 from .featurize import (
     KIND_API,
     KIND_STRING,
@@ -22,10 +21,12 @@ from .featurize import (
     normalize_token,
     unescape_token,
 )
-from .gcn import ModelParams, build_normalized_adjacency, forward, input_gradient, prepare_fcg, score_prepared
+from .gcn import ModelParams, build_normalized_adjacency, forward, input_gradient, score_graphs
 
 DEFAULT_OVERHEADS = (0.0, 5.0, 10.0, 20.0, 30.0, 40.0, 50.0, 100.0, 150.0, 200.0, 400.0, 500.0)
 MODES = ("inject_existing", "add_dead_nodes")
+TARGET_FRACTION = 0.5  # inject_existing appends to a random half of the functions
+TOKENS_PER_DEAD_NODE = 20  # add_dead_nodes puts this many tokens in each new function
 
 POOL_HEADER = "#mal2gcn-pool v1"
 ATTACK_REPORT_HEADER = "#mal2gcn-attack v1"
@@ -37,7 +38,6 @@ class BenignPool:
 
     apis: tuple[str, ...]
     strings: tuple[str, ...]
-    weights: tuple[float, ...] | None = None  # aligned to apis + strings
 
     def __post_init__(self):
         if not self.apis and not self.strings:
@@ -48,8 +48,6 @@ class BenignPool:
         for token in self.strings:
             if normalize_token(token, KIND_STRING) != token:
                 raise DataError(f"pool string token {token!r} is not normalized")
-        if self.weights is not None and len(self.weights) != len(self.apis) + len(self.strings):
-            raise DataError("pool weights length must match apis + strings")
 
     @property
     def size(self) -> int:
@@ -62,19 +60,14 @@ class AttackConfig:
     modes: tuple[str, ...] = MODES
     seed: int = 0
     trials_per_sample: int = 1
-    target_nodes: str = "random_fraction"  # or "all"
-    target_fraction: float = 0.5
-    tokens_per_dead_node: int = 20
 
     def __post_init__(self):
         if not self.modes or any(m not in MODES for m in self.modes):
             raise ValueError(f"modes must be a non-empty subset of {MODES}")
         if any(o < 0 for o in self.overheads) or list(self.overheads) != sorted(self.overheads):
             raise ValueError("overheads must be non-negative and ascending")
-        if self.target_nodes not in ("all", "random_fraction"):
-            raise ValueError(f"unknown target_nodes mode {self.target_nodes!r}")
-        if self.trials_per_sample < 1 or self.tokens_per_dead_node < 1:
-            raise ValueError("trials_per_sample and tokens_per_dead_node must be >= 1")
+        if self.trials_per_sample < 1:
+            raise ValueError("trials_per_sample must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -100,22 +93,12 @@ def _sample_rng_seed(seed: int, graph_id: str, trial: int) -> np.random.SeedSequ
     return np.random.SeedSequence([seed, trial, int.from_bytes(digest[:8], "big")])
 
 
-def _draw_token(rng: np.random.Generator, pool: BenignPool, cum_weights: np.ndarray | None):
-    """Returns (kind, token) drawn uniformly (or by weight) from the combined pool."""
-    if cum_weights is None:
-        idx = int(rng.integers(pool.size))
-    else:
-        idx = int(np.searchsorted(cum_weights, rng.random() * cum_weights[-1], side="right"))
-        idx = min(idx, pool.size - 1)
+def _draw_token(rng: np.random.Generator, pool: BenignPool):
+    """Returns (kind, token) drawn uniformly from the combined pool."""
+    idx = int(rng.integers(pool.size))
     if idx < len(pool.apis):
         return KIND_API, pool.apis[idx]
     return KIND_STRING, pool.strings[idx - len(pool.apis)]
-
-
-def _pool_cum_weights(pool: BenignPool) -> np.ndarray | None:
-    if pool.weights is None:
-        return None
-    return np.cumsum(np.asarray(pool.weights, dtype=np.float64))
 
 
 def generate_attack(
@@ -125,14 +108,15 @@ def generate_attack(
     modes=MODES,
     seed: int = 0,
     *,
-    target_nodes: str = "random_fraction",
-    target_fraction: float = 0.5,
-    tokens_per_dead_node: int = 20,
     trial: int = 0,
 ) -> Perturbation:
     """Draw an additive perturbation with round(overhead_pct% of g's token count) tokens.
 
-    Deterministic per (graph, seed, trial, config).  Token/target draws use a
+    inject_existing appends tokens to a random TARGET_FRACTION of the
+    functions; add_dead_nodes packs them TOKENS_PER_DEAD_NODE to a new
+    function, each called from a random existing one.
+
+    Deterministic per (graph, seed, trial, modes).  Token/target draws use a
     dedicated substream per mode and are consumed in budget order, so for a
     fixed seed a larger budget extends a smaller one (nested perturbations).
     """
@@ -157,20 +141,16 @@ def generate_attack(
         budget_existing, budget_dead = 0, budget
 
     ss_existing, ss_dead = _sample_rng_seed(seed, g.graph_id, trial).spawn(2)
-    cum_weights = _pool_cum_weights(pool)
     node_ids = g.node_ids()
 
     additions: dict[str, tuple[list, list]] = {}
     if budget_existing > 0:
         rng = np.random.default_rng(ss_existing)
-        if target_nodes == "all":
-            targets = list(node_ids)
-        else:
-            count = max(1, int(round(target_fraction * len(node_ids))))
-            targets = [node_ids[i] for i in rng.choice(len(node_ids), size=count, replace=False)]
+        count = max(1, int(round(TARGET_FRACTION * len(node_ids))))
+        targets = [node_ids[i] for i in rng.choice(len(node_ids), size=count, replace=False)]
         for _ in range(budget_existing):
             node_id = targets[int(rng.integers(len(targets)))]
-            kind, token = _draw_token(rng, pool, cum_weights)
+            kind, token = _draw_token(rng, pool)
             apis, strings = additions.setdefault(node_id, ([], []))
             (apis if kind == KIND_API else strings).append(token)
 
@@ -181,14 +161,14 @@ def generate_attack(
         existing = set(node_ids)
         chunks: list[tuple[str, str, list, list]] = []  # (node id, caller, apis, strings)
         for i in range(budget_dead):
-            chunk = i // tokens_per_dead_node
+            chunk = i // TOKENS_PER_DEAD_NODE
             if chunk == len(chunks):
                 node_id = f"dead{chunk:04d}"
                 while node_id in existing:
                     node_id = "x" + node_id
                 caller = node_ids[int(rng.integers(len(node_ids)))]
                 chunks.append((node_id, caller, [], []))
-            kind, token = _draw_token(rng, pool, cum_weights)
+            kind, token = _draw_token(rng, pool)
             (chunks[chunk][2] if kind == KIND_API else chunks[chunk][3]).append(token)
         for node_id, caller, apis, strings in chunks:
             new_nodes.append(FunctionNode(node_id, tuple(apis), tuple(strings)))
@@ -259,28 +239,17 @@ class AttackReport:
 
 
 def _attack_one(g, model, vocab, pool, cfg: AttackConfig, readout: str) -> SampleOutcome:
-    g = normalize_fcg(g)
-    original = float(score_prepared(model, [prepare_fcg(g, vocab)], readout)[0])
+    g = normalize_fcg(g)  # attack the graph as it is scored
+    original = float(score_graphs(model, [g], vocab, readout)[0])
     detected = original >= 0.5
     adv_scores = {}
     evaded = {}
     for overhead in cfg.overheads:
-        worst = np.inf
-        for trial in range(cfg.trials_per_sample):
-            perturbation = generate_attack(
-                g,
-                pool,
-                overhead,
-                modes=cfg.modes,
-                seed=cfg.seed,
-                target_nodes=cfg.target_nodes,
-                target_fraction=cfg.target_fraction,
-                tokens_per_dead_node=cfg.tokens_per_dead_node,
-                trial=trial,
-            )
-            adv = apply_perturbation(g, perturbation)
-            score = float(score_prepared(model, [prepare_fcg(adv, vocab)], readout)[0])
-            worst = min(worst, score)
+        adversarial = [
+            apply_perturbation(g, generate_attack(g, pool, overhead, modes=cfg.modes, seed=cfg.seed, trial=trial))
+            for trial in range(cfg.trials_per_sample)
+        ]
+        worst = min(score_graphs(model, adversarial, vocab, readout).tolist())
         adv_scores[overhead] = worst
         evaded[overhead] = bool(detected and worst < 0.5)
     return SampleOutcome(g.graph_id, original, adv_scores, evaded)
@@ -293,7 +262,6 @@ def attack_sweep(
     pool: BenignPool,
     cfg: AttackConfig,
     readout: str = "avg",
-    threads: int = 1,
     reference_overhead: float | None = None,
 ) -> AttackReport:
     """Attack every malware sample at every overhead and aggregate the outcome curve.
@@ -310,12 +278,7 @@ def attack_sweep(
     if cfg.overheads and reference_overhead not in cfg.overheads:
         raise ValueError("reference overhead must be one of the scheduled overheads")
 
-    work = list(corpus.records)
-    if threads > 1 and len(work) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-            outcomes = list(pool_exec.map(lambda g: _attack_one(g, model, vocab, pool, cfg, readout), work))
-    else:
-        outcomes = [_attack_one(g, model, vocab, pool, cfg, readout) for g in work]
+    outcomes = [_attack_one(g, model, vocab, pool, cfg, readout) for g in corpus.records]
 
     n_samples = len(outcomes)
     n_detected = sum(1 for o in outcomes if o.original_score >= 0.5)
@@ -360,18 +323,7 @@ def generate_training_adversaries(records, pool: BenignPool, cfg: AttackConfig, 
     for i in range(count):
         g = normalize_fcg(malware[int(rng.integers(len(malware)))])
         overhead = positive_overheads[int(rng.integers(len(positive_overheads)))]
-        perturbation = generate_attack(
-            g,
-            pool,
-            overhead,
-            modes=cfg.modes,
-            seed=cfg.seed,
-            target_nodes=cfg.target_nodes,
-            target_fraction=cfg.target_fraction,
-            tokens_per_dead_node=cfg.tokens_per_dead_node,
-            trial=i,
-        )
-        adv = apply_perturbation(g, perturbation)
+        adv = apply_perturbation(g, generate_attack(g, pool, overhead, modes=cfg.modes, seed=cfg.seed, trial=i))
         out.append(Fcg(f"{g.graph_id}#adv{i:04d}", adv.label, adv.main_id, adv.nodes, adv.edges))
     return out
 
@@ -475,8 +427,7 @@ def write_benign_pool(pool: BenignPool, path) -> None:
 
 
 def read_benign_pool(path) -> BenignPool:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines or lines[0] != POOL_HEADER:
         raise FormatError(f"{path}: missing pool header")
     apis, strings = [], []

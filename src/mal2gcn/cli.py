@@ -9,7 +9,7 @@ import argparse
 import hashlib
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 from . import __version__
 from .attack import (
@@ -22,7 +22,7 @@ from .attack import (
 )
 from .fcg import Corpus, DataError, LABEL_MALWARE, normalize_fcg, read_corpus, write_corpus
 from .featurize import build_vocabulary, embed_graph, read_vocabulary, write_vocabulary
-from .gcn import load_model, prepare_fcg, save_model, score_prepared
+from .gcn import load_model, save_model, score_graphs
 from .metrics import compute_metrics, roc_csv_lines, write_metrics_report
 from .synth import SynthConfig, derive_benign_pool, generate_corpus, split_corpus, write_manifest
 from .train import AdvTrainConfig, TrainConfig, train, write_train_report
@@ -73,14 +73,14 @@ def _file_digest(path) -> str:
 
 
 def _check_no_overwrite(args) -> None:
-    """Refuse output paths that would clobber this invocation's inputs."""
+    """Refuse output paths that would clobber this invocation's inputs, however they are spelled."""
     inputs = {
-        str(getattr(args, name))
+        Path(getattr(args, name)).resolve()
         for name in ("corpus", "val", "vocab", "pool")
         if getattr(args, name, None)
     }
     if args.command in ("eval", "attack", "check-monotone", "inspect") and getattr(args, "model", None):
-        inputs.add(str(args.model))
+        inputs.add(Path(args.model).resolve())
     outputs = [
         str(value)
         for name in ("out", "roc_out", "pool_out", "manifest_out")
@@ -89,7 +89,7 @@ def _check_no_overwrite(args) -> None:
     if args.command in ("train", "gen-corpus") and getattr(args, "model", None):
         outputs.append(str(args.model))
     for out in outputs:
-        if out in inputs:
+        if Path(out).resolve() in inputs:
             raise UsageError(f"output path {out} would overwrite an input")
 
 
@@ -152,7 +152,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--roc-out", default=None, help="optional standalone ROC CSV")
     p.add_argument("--readout", choices=("avg", "sum", "max"), default="avg")
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("attack", help="run the overhead sweep against malware samples")
     common(p)
@@ -165,7 +164,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--modes", type=_parse_csv_names, default=None)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--readout", choices=("avg", "sum", "max"), default="avg")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--reference-overhead", type=float, default=None)
 
     p = sub.add_parser("check-monotone", help="audit monotonicity on a corpus")
@@ -270,16 +268,6 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _scores_for(model, vocab, records, readout, threads):
-    def one(g):
-        return float(score_prepared(model, [prepare_fcg(normalize_fcg(g), vocab)], readout)[0])
-
-    if threads > 1 and len(records) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, records))
-    return [one(g) for g in records]
-
-
 def _cmd_eval(args) -> int:
     corpus = read_corpus(args.corpus, strict=args.strict)
     vocab = read_vocabulary(args.vocab)
@@ -287,7 +275,7 @@ def _cmd_eval(args) -> int:
     for g in corpus:
         if g.label is None:
             raise DataError(f"eval corpus: graph {g.graph_id} is unlabeled")
-    scores = _scores_for(model, vocab, corpus.records, args.readout, args.threads)
+    scores = score_graphs(model, corpus.records, vocab, args.readout)
     labeled = [(s, 1 if g.label == LABEL_MALWARE else 0) for s, g in zip(scores, corpus.records)]
     report = compute_metrics(labeled)
     meta = {
@@ -330,7 +318,6 @@ def _cmd_attack(args) -> int:
         pool,
         cfg,
         readout=args.readout,
-        threads=args.threads,
         reference_overhead=args.reference_overhead,
     )
     meta = {

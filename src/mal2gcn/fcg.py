@@ -244,22 +244,34 @@ def write_corpus(corpus: Corpus, path) -> None:
             fh.write("\n")
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; a file that is not UTF-8 is a FormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid UTF-8") from exc
+
+
 def read_corpus(path, strict: bool = True) -> Corpus:
     """Read an interchange file; every record must pass validation (isolation aside)."""
     records: list[Fcg] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path} line {lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{where}: invalid JSON ({exc.msg})") from exc
-            g = record_to_fcg(obj, where=where, strict=strict)
-            result = validate_fcg(g)
-            if not result.ok:
-                raise FormatError(f"{where} (graph {g.graph_id}): " + "; ".join(result.errors))
-            records.append(g)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                where = f"{path} line {lineno}"
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise FormatError(f"{where}: invalid JSON ({exc.msg})") from exc
+                g = record_to_fcg(obj, where=where, strict=strict)
+                result = validate_fcg(g)
+                if not result.ok:
+                    raise FormatError(f"{where} (graph {g.graph_id}): " + "; ".join(result.errors))
+                records.append(g)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid UTF-8") from exc
     return Corpus(tuple(records), {"source": str(path)})

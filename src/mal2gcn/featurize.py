@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fcg import Corpus, DataError, Fcg, FormatError, LABEL_MALWARE
+from .fcg import Corpus, DataError, Fcg, FormatError, LABEL_MALWARE, read_lines
 
 KIND_API = "api"
 KIND_STRING = "string"
@@ -246,8 +246,7 @@ def write_vocabulary(vocab: Vocabulary, path) -> None:
 
 
 def read_vocabulary(path) -> Vocabulary:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines or not lines[0].startswith(VOCAB_HEADER_PREFIX):
         raise FormatError(f"{path}: missing vocabulary header")
     try:
@@ -272,14 +271,18 @@ def read_vocabulary(path) -> Vocabulary:
             raise FormatError(f"{path} line {lineno}: bad score {score_text!r}") from exc
         if not math.isfinite(score):
             raise FormatError(f"{path} line {lineno}: non-finite score")
+        if kind not in (KIND_API, KIND_STRING):
+            raise FormatError(f"{path} line {lineno}: unknown kind {kind!r}")
+        token = unescape_token(token)
+        if normalize_token(token, kind) != token:
+            # no graph token can ever match it
+            raise FormatError(f"{path} line {lineno}: {kind} token {token!r} is not normalized")
         if kind == KIND_API:
             if strings:
                 raise FormatError(f"{path} line {lineno}: api row after string rows")
-            api.append((unescape_token(token), score))
-        elif kind == KIND_STRING:
-            strings.append((unescape_token(token), score))
+            api.append((token, score))
         else:
-            raise FormatError(f"{path} line {lineno}: unknown kind {kind!r}")
+            strings.append((token, score))
 
     vocab = Vocabulary(
         api_tokens=tuple(t for t, _ in api),

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
-from .fcg import DataError, Fcg
+from .fcg import DataError, Fcg, normalize_fcg, read_lines
 from .featurize import FeatureMatrix, Vocabulary, embed_graph, vocabulary_digest
 
 PROB_CLAMP = 1e-7
@@ -311,14 +311,23 @@ def input_gradient(m: ModelParams, adj: NormalizedAdjacency, x, readout: str = "
 
 
 def score_prepared(m: ModelParams, prepared: list, readout: str = "avg") -> np.ndarray:
-    """Malware probabilities for a list of PreparedGraph."""
-    if not prepared:
-        return np.empty(0)
-    return _forward_batch(m, prepared, readout).p.copy()
+    """Malware probabilities for a list of PreparedGraph, one forward pass per graph.
+
+    At inference a per-graph forward is faster than one over the stacked
+    batch, and it makes a graph's score independent of what it is scored with.
+    """
+    return np.array([_forward_batch(m, [pg], readout).p[0] for pg in prepared], dtype=np.float64)
 
 
-def score_fcg(m: ModelParams, g: Fcg, vocab: Vocabulary, readout: str = "avg") -> float:
-    return float(score_prepared(m, [prepare_fcg(g, vocab)], readout)[0])
+def score_graphs(m: ModelParams, graphs, vocab: Vocabulary, readout: str = "avg") -> np.ndarray:
+    """Malware probabilities for raw graphs, each normalized, prepared and scored in turn.
+
+    Only one prepared graph is alive at a time, so memory does not grow with
+    the number of graphs.
+    """
+    return np.array(
+        [score_prepared(m, [prepare_fcg(normalize_fcg(g), vocab)], readout)[0] for g in graphs], dtype=np.float64
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +362,8 @@ def save_model(m: ModelParams, path, vocab: Vocabulary) -> None:
 
 
 def load_model(path, vocab: Vocabulary) -> ModelParams:
-    """Read a model file, verifying structure and the vocabulary hash."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """Read a model file, verifying structure, the vocabulary hash, finite weights and the flags."""
+    lines = read_lines(path)
 
     def fail(msg):
         raise ModelIOError(f"{path}: {msg}")
@@ -374,6 +382,8 @@ def load_model(path, vocab: Vocabulary) -> ModelParams:
         stored_hash = hash_parts[1]
     except (IndexError, ValueError, KeyError, AssertionError):
         fail("corrupt model preamble")
+    if min(d, h1, h2, hg) < 1:
+        fail(f"dims must be positive, got {d} {h1} {h2} {hg}")
 
     expected = vocabulary_digest(vocab)
     if stored_hash != expected:
@@ -395,7 +405,10 @@ def load_model(path, vocab: Vocabulary) -> ModelParams:
         header = lines[pos].split()
         if len(header) != 4 or header[0] != "matrix" or header[1] != name:
             fail(f"expected matrix header for {name} at line {pos + 1}")
-        rows, cols = int(header[2]), int(header[3])
+        try:
+            rows, cols = int(header[2]), int(header[3])
+        except ValueError:
+            fail(f"matrix {name} has a non-integer shape {header[2]}x{header[3]}")
         if (rows, cols) != expected_shapes[name]:
             fail(f"matrix {name} has shape {rows}x{cols}, expected {expected_shapes[name]}")
         pos += 1
@@ -410,12 +423,14 @@ def load_model(path, vocab: Vocabulary) -> ModelParams:
                 data[r] = [float(v) for v in parts]
             except ValueError:
                 fail(f"matrix {name} row {r}: unparseable value")
+        if not np.isfinite(data).all():
+            fail(f"matrix {name} has a non-finite value")
         matrices[name] = data
         pos += rows
     if pos != len(lines):
         fail("trailing content after final matrix")
 
-    return ModelParams(
+    params = ModelParams(
         w_gcn1=matrices["w_gcn1"],
         w_gcn2=matrices["w_gcn2"],
         w_hidden=matrices["w_hidden"],
@@ -425,3 +440,7 @@ def load_model(path, vocab: Vocabulary) -> ModelParams:
         nonneg_gcn=nonneg_gcn,
         nonneg_gclf=nonneg_gclf,
     )
+    for name in params.governed_names():
+        if (getattr(params, name) < 0.0).any():
+            fail(f"{name} has negative entries, but the flags say it is non-negative")
+    return params

@@ -141,10 +141,8 @@ def _prepare_labeled(records, vocab: Vocabulary):
     return prepared, labels
 
 
-def _eval_split(params: ModelParams, prepared, labels, readout: str, chunk: int = 256):
-    scores = np.concatenate(
-        [score_prepared(params, prepared[i : i + chunk], readout) for i in range(0, len(prepared), chunk)]
-    )
+def _eval_split(params: ModelParams, prepared, labels, readout: str):
+    scores = score_prepared(params, prepared, readout)
     p = np.clip(scores, PROB_CLAMP, 1.0 - PROB_CLAMP)
     loss = float(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)).mean())
     acc = float(((scores >= 0.5).astype(np.float64) == labels).mean())

@@ -69,7 +69,7 @@ class TestGenerateAttack:
 
     def test_dead_node_chunking(self, pool):
         g = victim(n_tokens_per_node=10)  # 40 tokens
-        p = generate_attack(g, pool, 100.0, modes=("add_dead_nodes",), seed=2, tokens_per_dead_node=20)
+        p = generate_attack(g, pool, 100.0, modes=("add_dead_nodes",), seed=2)
         assert len(p.new_nodes) == 2  # ceil(40 / 20)
         assert sum(n.token_count for n in p.new_nodes) == 40
         assert len(p.attach_edges) == 2
@@ -82,11 +82,6 @@ class TestGenerateAttack:
         existing = sum(len(a) + len(s) for a, s in p.token_additions.values())
         dead = sum(n.token_count for n in p.new_nodes)
         assert existing == 20 and dead == 20
-
-    def test_target_all_nodes(self, pool):
-        g = victim(n_tokens_per_node=10, n_nodes=3)
-        p = generate_attack(g, pool, 400.0, modes=("inject_existing",), seed=2, target_nodes="all")
-        assert set(p.token_additions) == set(g.node_ids())
 
     def test_negative_overhead_rejected(self, pool):
         with pytest.raises(ValueError):
@@ -213,12 +208,12 @@ class TestAttackSweep:
         for outcome in report.samples:
             assert outcome.adv_scores[0.0] == outcome.original_score
 
-    def test_deterministic_and_thread_invariant(self, trained_setup):
+    def test_deterministic(self, trained_setup):
         vocab, pool, _, plain, malware = trained_setup
         cfg = AttackConfig(overheads=(0.0, 100.0), seed=29)
-        serial = attack_sweep(plain, vocab, malware, pool, cfg, threads=1)
-        threaded = attack_sweep(plain, vocab, malware, pool, cfg, threads=4)
-        assert serial == threaded
+        first = attack_sweep(plain, vocab, malware, pool, cfg)
+        second = attack_sweep(plain, vocab, malware, pool, cfg)
+        assert first == second
 
     def test_non_malware_record_rejected(self, trained_setup):
         vocab, pool, _, plain, _ = trained_setup

@@ -15,6 +15,16 @@ def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def edited_model(model, tmp_path, name, edit):
+    """A copy of `model` whose first row of matrix `name` is replaced by edit(row)."""
+    lines = model.read_text(encoding="utf-8").splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith(f"matrix {name} ")) + 1
+    lines[row] = edit(lines[row])
+    path = tmp_path / f"edited_{name}.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A tiny end-to-end workspace: corpus splits, vocabulary, trained model."""
@@ -175,17 +185,66 @@ class TestExitCodes:
         )
         assert code == EXIT_DATA
 
-    def test_monotonicity_violations_exit_three(self, workspace, tmp_path):
-        root, corpus, vocab, _ = workspace
+    def test_monotonicity_violations_exit_three(self, workspace, monkeypatch):
+        root, corpus, vocab, model = workspace
         v = read_vocabulary(vocab)
-        hostile = hostile_model(v.size)  # flags say non-negative; weights disagree
-        hostile_path = tmp_path / "hostile.txt"
-        save_model(hostile, hostile_path, v)
+        # flags say non-negative; weights disagree.  load_model rejects such a
+        # file (next test), so the audit gets the model directly.
+        monkeypatch.setattr("mal2gcn.cli.load_model", lambda path, vocab: hostile_model(v.size))
         code = run(
             ["check-monotone", "--corpus", str(corpus) + ".test", "--vocab", str(vocab),
-             "--model", str(hostile_path), "--trials", "400", "--seed", "5"]
+             "--model", str(model), "--trials", "400", "--seed", "5"]
         )
         assert code == EXIT_CHECK_FAILED
+
+    def test_model_file_whose_flags_lie_is_data_error(self, workspace, tmp_path, capsys):
+        root, corpus, vocab, model = workspace
+        path = edited_model(model, tmp_path, "w_gcn2", lambda row: "-5.0 " + row.split(" ", 1)[1])
+        code = run(
+            ["check-monotone", "--corpus", str(corpus) + ".test", "--vocab", str(vocab),
+             "--model", str(path), "--trials", "50", "--seed", "5"]
+        )
+        assert code == EXIT_DATA
+        assert "w_gcn2 has negative entries" in capsys.readouterr().err
+        v = read_vocabulary(vocab)
+        save_model(hostile_model(v.size), path, v)
+        assert run(["check-monotone", "--corpus", str(corpus) + ".test", "--vocab", str(vocab),
+                    "--model", str(path), "--trials", "50"]) == EXIT_DATA
+
+    def test_non_finite_weight_is_data_error(self, workspace, tmp_path, capsys):
+        root, corpus, vocab, model = workspace
+        path = edited_model(model, tmp_path, "b_out", lambda row: "nan")
+        code = run(
+            ["eval", "--corpus", str(corpus) + ".test", "--vocab", str(vocab),
+             "--model", str(path), "--out", str(tmp_path / "metrics.txt")]
+        )
+        assert code == EXIT_DATA
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.txt").exists()
+
+    def test_non_integer_matrix_shape_is_data_error(self, workspace, tmp_path, capsys):
+        root, corpus, vocab, model = workspace
+        text = model.read_text(encoding="utf-8")
+        header = next(line for line in text.splitlines() if line.startswith("matrix w_gcn1 "))
+        path = tmp_path / "model.txt"
+        path.write_text(text.replace(header, "matrix w_gcn1 x 8"), encoding="utf-8")
+        code = run(
+            ["eval", "--corpus", str(corpus) + ".test", "--vocab", str(vocab),
+             "--model", str(path), "--out", str(tmp_path / "metrics.txt")]
+        )
+        assert code == EXIT_DATA
+        assert "non-integer shape" in capsys.readouterr().err
+
+    def test_corpus_that_is_not_utf8_is_data_error(self, workspace, tmp_path, capsys):
+        root, corpus, vocab, model = workspace
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff\xfe" + (corpus.parent / (corpus.name + ".test")).read_bytes())
+        code = run(
+            ["eval", "--corpus", str(bad), "--vocab", str(vocab),
+             "--model", str(model), "--out", str(tmp_path / "metrics.txt")]
+        )
+        assert code == EXIT_DATA
+        assert "not valid UTF-8" in capsys.readouterr().err
 
     def test_strict_mode_rejects_unknown_fields(self, workspace, tmp_path):
         record = {"graph_id": "g", "label": "benign", "main": "main",
@@ -205,6 +264,26 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "overwrite" in capsys.readouterr().err
         assert (corpus.parent / (corpus.name + ".test")).exists()
+
+    def test_output_spelled_as_another_path_to_an_input_is_refused(self, workspace, tmp_path):
+        _, corpus, vocab, model = workspace
+        (tmp_path / "w").mkdir()
+        copy = tmp_path / "w" / "m.txt"
+        copy.write_bytes(model.read_bytes())
+        before = digest(copy)
+        code = run(
+            ["eval", "--corpus", str(corpus) + ".test", "--vocab", str(vocab),
+             "--model", str(copy), "--out", str(tmp_path / "w" / ".." / "w" / "m.txt")]
+        )
+        assert code == EXIT_USAGE
+        assert digest(copy) == before
+
+    def test_threads_option_is_gone(self, workspace, tmp_path):
+        _, corpus, vocab, model = workspace
+        assert run(
+            ["eval", "--corpus", str(corpus) + ".test", "--vocab", str(vocab),
+             "--model", str(model), "--out", str(tmp_path / "m.txt"), "--threads", "2"]
+        ) == EXIT_USAGE
 
     def test_help_and_version_exit_zero(self, capsys):
         assert run(["--help"]) == EXIT_OK

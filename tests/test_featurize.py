@@ -256,6 +256,16 @@ class TestVocabularyFile:
         with pytest.raises(FormatError, match="api row after"):
             read_vocabulary(path)
 
+    @pytest.mark.parametrize(
+        "row", ["api\tGetProcAddress\t1.0", "string\tabc\t1.0", "string\t" + "x" * 31 + "\t1.0"]
+    )
+    def test_unnormalized_token_rejected(self, tmp_path, row):
+        # a token that normalization changes can never match a graph token
+        path = tmp_path / "vocab.tsv"
+        path.write_text(f"#mal2gcn-vocab v1 k_api=1 k_str=1\n{row}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="not normalized"):
+            read_vocabulary(path)
+
     @given(st.text(max_size=40))
     def test_escape_round_trip(self, token):
         assert unescape_token(escape_token(token)) == token

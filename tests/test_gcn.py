@@ -14,8 +14,10 @@ from mal2gcn.gcn import (
     input_gradient,
     load_model,
     loss_and_gradients,
+    prepare_graph,
     project_nonnegative,
     save_model,
+    score_prepared,
 )
 
 from conftest import (
@@ -138,6 +140,24 @@ class TestForward:
             adj_p = NormalizedAdjacency(5, adj.values[np.ix_(perm, perm)])
             p2, _ = forward(m, adj_p, x[perm], readout)
             assert p2 == pytest.approx(p, abs=1e-9)
+
+
+class TestScorePrepared:
+    @pytest.mark.parametrize("readout", ["avg", "sum", "max"])
+    def test_list_scores_bitwise_equal_single_graph_scores(self, readout):
+        # a graph's score must not depend on the graphs it is scored with
+        rng = np.random.default_rng(7)
+        d = 64
+        m = random_params(rng, d, 48, 32, 16, scale=0.3)
+        prepared = []
+        for _ in range(40):
+            n = int(rng.integers(2, 30))
+            extra = [(f"n{rng.integers(n)}", f"n{rng.integers(n)}") for _ in range(n)]
+            adj = build_normalized_adjacency(chain_graph(n, extra))
+            prepared.append(prepare_graph(adj, rng.integers(0, 3, size=(n, d))))
+        together = score_prepared(m, prepared, readout)
+        alone = np.array([score_prepared(m, [pg], readout)[0] for pg in prepared])
+        assert together.tobytes() == alone.tobytes()
 
 
 class TestGradients:
@@ -286,6 +306,7 @@ class TestModelIO:
     def test_round_trip_is_lossless(self, tmp_path, rng, vocab):
         m = random_params(rng, d=3, h1=4, h2=3, hg=2)
         m.nonneg_gcn = True
+        m = project_nonnegative(m)  # a file whose flags lie is rejected on load
         path = tmp_path / "model.txt"
         save_model(m, path, vocab)
         back = load_model(path, vocab)
@@ -314,6 +335,17 @@ class TestModelIO:
         path = tmp_path / "model.txt"
         path.write_text("#some-other-format v9\n", encoding="utf-8")
         with pytest.raises(ModelIOError, match="header"):
+            load_model(path, vocab)
+
+    def test_negative_dims_rejected(self, tmp_path, rng, vocab):
+        m = random_params(rng, d=3, h1=2, h2=2, hg=2)
+        path = tmp_path / "model.txt"
+        save_model(m, path, vocab)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = "dims -1 2 2 2"
+        lines[4:8] = ["matrix w_gcn1 -1 2"]  # header and its three rows
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ModelIOError, match="dims must be positive"):
             load_model(path, vocab)
 
     def test_corrupt_value_rejected(self, tmp_path, rng, vocab):
