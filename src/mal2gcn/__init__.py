@@ -15,11 +15,13 @@ from .featurize import FeatureMatrix, Vocabulary, build_vocabulary, embed_graph,
 from .gcn import (
     ModelParams,
     NormalizedAdjacency,
+    PreparedGraph,
     build_normalized_adjacency,
     forward,
     input_gradient,
     load_model,
-    loss_and_gradients,
+    prepare_fcg,
+    prepare_graph,
     project_nonnegative,
     save_model,
     score_graphs,

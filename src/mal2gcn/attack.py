@@ -7,21 +7,21 @@ percentage of the victim graph's original token count.
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 
 from .fcg import Corpus, DataError, Fcg, FormatError, FunctionNode, LABEL_MALWARE, normalize_fcg, read_lines
 from .featurize import (
     KIND_API,
     KIND_STRING,
     Vocabulary,
-    embed_graph,
     escape_token,
     normalize_token,
     unescape_token,
 )
-from .gcn import ModelParams, build_normalized_adjacency, forward, input_gradient, score_graphs
+from .gcn import ModelParams, forward, input_gradient, prepare_fcg, score_graphs
 
 DEFAULT_OVERHEADS = (0.0, 5.0, 10.0, 20.0, 30.0, 40.0, 50.0, 100.0, 150.0, 200.0, 400.0, 500.0)
 MODES = ("inject_existing", "add_dead_nodes")
@@ -382,22 +382,21 @@ def check_monotonicity(
         gi = int(rng.integers(len(graphs)))
         g = graphs[gi]
         if gi not in cached:
-            adj = build_normalized_adjacency(g)
-            x = embed_graph(g, vocab).counts.astype(np.float64)
-            base, _ = forward(model, adj, x, readout)
-            grad = input_gradient(model, adj, x, readout)
-            min_grad = min(min_grad, float(grad.min()))
-            cached[gi] = (adj, x, base)
-        adj, x, base = cached[gi]
+            pg = prepare_fcg(g, vocab)
+            base, _ = forward(model, pg, readout)
+            min_grad = min(min_grad, float(input_gradient(model, pg, readout).min()))
+            cached[gi] = (pg, base)
+        pg, base = cached[gi]
 
-        delta = np.zeros_like(x)
         n_edits = int(rng.integers(1, 21))
-        rows = rng.integers(x.shape[0], size=n_edits)
-        cols = rng.integers(x.shape[1], size=n_edits)
+        rows = rng.integers(pg.n, size=n_edits)
+        cols = rng.integers(pg.ax.shape[1], size=n_edits)
         amounts = rng.integers(1, 4, size=n_edits)
-        np.add.at(delta, (rows, cols), amounts)
+        # repeated (row, col) draws add up
+        delta = sparse.csr_matrix((amounts.astype(np.float64), (rows, cols)), shape=pg.ax.shape)
 
-        after, _ = forward(model, adj, x + delta, readout)
+        # A(X + delta) = AX + A delta, so the graph is prepared once
+        after, _ = forward(model, replace(pg, ax=pg.ax + pg.adj @ delta), readout)
         drop = base - after
         if drop > tolerance:
             violations.append(MonotonicityViolation(g.graph_id, trial, base, after))

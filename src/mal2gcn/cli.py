@@ -22,7 +22,7 @@ from .attack import (
 )
 from .fcg import Corpus, DataError, LABEL_MALWARE, normalize_fcg, read_corpus, write_corpus
 from .featurize import build_vocabulary, embed_graph, read_vocabulary, write_vocabulary
-from .gcn import load_model, save_model, score_graphs
+from .gcn import GCLF_WEIGHTS, GCN_WEIGHTS, load_model, save_model, score_graphs
 from .metrics import compute_metrics, roc_csv_lines, write_metrics_report
 from .synth import SynthConfig, derive_benign_pool, generate_corpus, split_corpus, write_manifest
 from .train import AdvTrainConfig, TrainConfig, train, write_train_report
@@ -343,6 +343,14 @@ def _cmd_check_monotone(args) -> int:
     corpus = read_corpus(args.corpus, strict=args.strict)
     vocab = read_vocabulary(args.vocab)
     model = load_model(args.model, vocab)
+    negative = [name for name in GCN_WEIGHTS + GCLF_WEIGHTS if (getattr(model, name) < 0.0).any()]
+    if negative:
+        print(f"certificate: none; negative entries in {', '.join(negative)}")
+    else:
+        print(
+            "certificate: w_gcn1, w_gcn2, w_hidden and w_out are non-negative, so for a fixed call graph the score is "
+            "non-decreasing in every token count; adding functions changes the normalization and is not covered"
+        )
     report = check_monotonicity(model, vocab, corpus, trials=args.trials, seed=args.seed, readout=args.readout)
     status = "informational" if report.informational else "enforced"
     print(

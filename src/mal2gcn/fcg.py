@@ -267,6 +267,8 @@ def read_corpus(path, strict: bool = True) -> Corpus:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise FormatError(f"{where}: invalid JSON ({exc.msg})") from exc
+                except RecursionError as exc:
+                    raise FormatError(f"{where}: JSON nested too deeply") from exc
                 g = record_to_fcg(obj, where=where, strict=strict)
                 result = validate_fcg(g)
                 if not result.ok:

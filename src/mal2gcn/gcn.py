@@ -15,7 +15,7 @@ from scipy import sparse
 from scipy.special import expit
 
 from .fcg import DataError, Fcg, normalize_fcg, read_lines
-from .featurize import FeatureMatrix, Vocabulary, embed_graph, vocabulary_digest
+from .featurize import Vocabulary, embed_graph, vocabulary_digest
 
 PROB_CLAMP = 1e-7
 READOUTS = ("avg", "sum", "max")
@@ -142,13 +142,9 @@ class PreparedGraph:
     ax: sparse.csr_matrix  # (n, d) adjacency @ features
 
 
-def _as_float_matrix(x) -> np.ndarray:
-    counts = x.counts if isinstance(x, FeatureMatrix) else x
-    return np.asarray(counts, dtype=np.float64)
-
-
-def prepare_graph(adj: NormalizedAdjacency, x) -> PreparedGraph:
-    xf = _as_float_matrix(x)
+def prepare_graph(adj: NormalizedAdjacency, counts: np.ndarray) -> PreparedGraph:
+    """Cache the adjacency and adjacency @ features of one graph; counts is its (n, d) feature array."""
+    xf = np.asarray(counts, dtype=np.float64)
     if xf.shape[0] != adj.n:
         raise ValueError(f"feature rows ({xf.shape[0]}) do not match adjacency size ({adj.n})")
     return PreparedGraph(
@@ -157,7 +153,7 @@ def prepare_graph(adj: NormalizedAdjacency, x) -> PreparedGraph:
 
 
 def prepare_fcg(g: Fcg, vocab: Vocabulary) -> PreparedGraph:
-    return prepare_graph(build_normalized_adjacency(g), embed_graph(g, vocab))
+    return prepare_graph(build_normalized_adjacency(g), embed_graph(g, vocab).counts)
 
 
 @dataclass
@@ -274,9 +270,9 @@ def _backward_batch(m: ModelParams, cache: _BatchCache, dz4: np.ndarray, need_in
     return grads, input_grads
 
 
-def forward(m: ModelParams, adj: NormalizedAdjacency, x, readout: str = "avg"):
-    """Score one graph; returns (malware probability, cache for backprop)."""
-    cache = _forward_batch(m, [prepare_graph(adj, x)], readout)
+def forward(m: ModelParams, pg: PreparedGraph, readout: str = "avg"):
+    """Score one prepared graph; returns (malware probability, cache for backprop)."""
+    cache = _forward_batch(m, [pg], readout)
     return float(cache.p[0]), cache
 
 
@@ -294,17 +290,9 @@ def batch_loss_and_gradients(m: ModelParams, prepared: list, labels: np.ndarray,
     return loss, grads, cache
 
 
-def loss_and_gradients(m: ModelParams, batch, readout: str = "avg"):
-    """Loss and gradients for a batch of (NormalizedAdjacency, FeatureMatrix, label) triples."""
-    prepared = [prepare_graph(adj, x) for adj, x, _ in batch]
-    labels = np.array([float(y) for _, _, y in batch])
-    loss, grads, _ = batch_loss_and_gradients(m, prepared, labels, readout)
-    return loss, grads
-
-
-def input_gradient(m: ModelParams, adj: NormalizedAdjacency, x, readout: str = "avg") -> np.ndarray:
+def input_gradient(m: ModelParams, pg: PreparedGraph, readout: str = "avg") -> np.ndarray:
     """Exact gradient of the output probability with respect to every feature entry."""
-    cache = _forward_batch(m, [prepare_graph(adj, x)], readout)
+    cache = _forward_batch(m, [pg], readout)
     dz4 = cache.p * (1.0 - cache.p)  # d sigmoid / d z4
     _, input_grads = _backward_batch(m, cache, dz4, need_input_grads=True)
     return input_grads[0]
@@ -388,6 +376,8 @@ def load_model(path, vocab: Vocabulary) -> ModelParams:
     expected = vocabulary_digest(vocab)
     if stored_hash != expected:
         fail(f"vocabulary hash mismatch (model {stored_hash[:12]}..., supplied {expected[:12]}...)")
+    if d != vocab.size:
+        fail(f"dims give d={d}, but the vocabulary has {vocab.size} tokens")
 
     expected_shapes = {
         "w_gcn1": (d, h1),
@@ -414,15 +404,17 @@ def load_model(path, vocab: Vocabulary) -> ModelParams:
         pos += 1
         if pos + rows > len(lines):
             fail(f"truncated file inside matrix {name}")
-        data = np.empty((rows, cols))
+        # rows are parsed one by one and stacked, so the header's shape allocates nothing
+        parsed = []
         for r in range(rows):
             parts = lines[pos + r].split()
             if len(parts) != cols:
                 fail(f"matrix {name} row {r} has {len(parts)} values, expected {cols}")
             try:
-                data[r] = [float(v) for v in parts]
+                parsed.append(np.array([float(v) for v in parts]))
             except ValueError:
                 fail(f"matrix {name} row {r}: unparseable value")
+        data = np.array(parsed)
         if not np.isfinite(data).all():
             fail(f"matrix {name} has a non-finite value")
         matrices[name] = data

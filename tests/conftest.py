@@ -109,9 +109,9 @@ def brute_force_normalized_adjacency(n, undirected_edges):
     return d_inv_sqrt @ a_tilde @ d_inv_sqrt
 
 
-def fd_param_grads(m, batch, readout, step=1e-4):
+def fd_param_grads(m, prepared, labels, readout, step=1e-4):
     """Central finite differences of the batch loss for every parameter entry."""
-    from mal2gcn.gcn import loss_and_gradients
+    from mal2gcn.gcn import batch_loss_and_gradients
 
     grads = {}
     for name, w in m.weights().items():
@@ -121,9 +121,9 @@ def fd_param_grads(m, batch, readout, step=1e-4):
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + step
-            up, _ = loss_and_gradients(m, batch, readout)
+            up = batch_loss_and_gradients(m, prepared, labels, readout)[0]
             flat[k] = orig - step
-            down, _ = loss_and_gradients(m, batch, readout)
+            down = batch_loss_and_gradients(m, prepared, labels, readout)[0]
             flat[k] = orig
             gflat[k] = (up - down) / (2 * step)
         grads[name] = g
@@ -136,7 +136,7 @@ def rel_err(a, b, floor=1e-8):
 
 def make_safe_instance(seed, readout):
     """Random small instance with activations away from relu kinks and argmax ties."""
-    from mal2gcn.gcn import build_normalized_adjacency, forward
+    from mal2gcn.gcn import build_normalized_adjacency, forward, prepare_graph
 
     rng = np.random.default_rng(seed)
     for attempt in range(60):
@@ -154,7 +154,7 @@ def make_safe_instance(seed, readout):
         adj = build_normalized_adjacency(g)
         x = rng.integers(0, 5, size=(n, d)).astype(float)
         y = int(rng.integers(2))
-        _, cache = forward(m, adj, x, readout)
+        _, cache = forward(m, prepare_graph(adj, x), readout)
         margin = min(
             np.abs(cache.z1).min(initial=1.0),
             np.abs(cache.z2).min(initial=1.0),

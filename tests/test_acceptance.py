@@ -20,10 +20,11 @@ from mal2gcn.cli import EXIT_OK, run
 from mal2gcn.fcg import Corpus, LABEL_MALWARE
 from mal2gcn.featurize import build_vocabulary, embed_graph
 from mal2gcn.gcn import (
+    batch_loss_and_gradients,
     build_normalized_adjacency,
     forward,
     input_gradient,
-    loss_and_gradients,
+    prepare_graph,
 )
 from mal2gcn.metrics import compute_metrics
 from mal2gcn.synth import SynthConfig, generate_corpus, split_corpus
@@ -85,10 +86,10 @@ def test_c1_monotonicity_randomized_trials():
     )
     corpus, _ = generate_corpus(cfg)
     vocab = build_vocabulary(corpus, k_api=30, k_str=30)
-    graphs = [
-        (build_normalized_adjacency(g), embed_graph(g, vocab).counts.astype(float))
-        for g in corpus.records
-    ]
+    graphs = []
+    for g in corpus.records:
+        adj, x = build_normalized_adjacency(g), embed_graph(g, vocab).counts
+        graphs.append((adj, x, prepare_graph(adj, x)))
 
     rng = np.random.default_rng(1)
     violations = 0
@@ -96,18 +97,19 @@ def test_c1_monotonicity_randomized_trials():
     for trial in range(1000):
         h1, h2, hg = (int(rng.integers(2, 9)) for _ in range(3))
         model = random_params(rng, vocab.size, h1, h2, hg, nonneg=True)
-        adj, x = graphs[int(rng.integers(len(graphs)))]
+        adj, x, pg = graphs[int(rng.integers(len(graphs)))]
         delta = np.zeros_like(x)
         edits = int(rng.integers(1, 16))
         rows = rng.integers(x.shape[0], size=edits)
         cols = rng.integers(x.shape[1], size=edits)
         np.add.at(delta, (rows, cols), rng.integers(1, 4, size=edits))
+        pg_after = prepare_graph(adj, x + delta)
         for readout in ("avg", "sum", "max"):
-            before, _ = forward(model, adj, x, readout)
-            after, _ = forward(model, adj, x + delta, readout)
+            before, _ = forward(model, pg, readout)
+            after, _ = forward(model, pg_after, readout)
             if after < before - 1e-9:
                 violations += 1
-            min_gradient = min(min_gradient, float(input_gradient(model, adj, x, readout).min()))
+            min_gradient = min(min_gradient, float(input_gradient(model, pg, readout).min()))
     elapsed = time.perf_counter() - start
 
     ok = violations == 0 and min_gradient >= -1e-12 and elapsed < 60
@@ -175,20 +177,20 @@ def test_c5_gradient_correctness():
     for i in range(50):
         readout = ("avg", "sum", "max")[i % 3]
         model, adj, x, y = make_safe_instance(31_000 + i, readout)
-        batch = [(adj, x, y)]
-        _, analytic = loss_and_gradients(model, batch, readout)
-        numeric = fd_param_grads(model, batch, readout)
+        prepared, labels = [prepare_graph(adj, x)], [y]
+        _, analytic, _ = batch_loss_and_gradients(model, prepared, labels, readout)
+        numeric = fd_param_grads(model, prepared, labels, readout)
         for name in analytic:
             worst = max(worst, float(rel_err(analytic[name], numeric[name]).max()))
 
-        grad = input_gradient(model, adj, x, readout)
+        grad = input_gradient(model, prepared[0], readout)
         step = 1e-4
         for r in range(x.shape[0]):
             for c in range(x.shape[1]):
                 x[r, c] += step
-                up, _ = forward(model, adj, x, readout)
+                up, _ = forward(model, prepare_graph(adj, x), readout)
                 x[r, c] -= 2 * step
-                down, _ = forward(model, adj, x, readout)
+                down, _ = forward(model, prepare_graph(adj, x), readout)
                 x[r, c] += step
                 fd = (up - down) / (2 * step)
                 worst = max(worst, float(rel_err(np.array(grad[r, c]), np.array(fd)).max()))

@@ -16,7 +16,7 @@ from mal2gcn.attack import (
 )
 from mal2gcn.fcg import Corpus, DataError, Fcg, FunctionNode, normalize_fcg, validate_fcg
 from mal2gcn.featurize import Vocabulary, build_vocabulary, embed_graph
-from mal2gcn.gcn import build_normalized_adjacency, forward
+from mal2gcn.gcn import build_normalized_adjacency, forward, prepare_graph, score_graphs
 from mal2gcn.synth import derive_benign_pool, split_corpus
 from mal2gcn.train import TrainConfig, train
 
@@ -215,6 +215,24 @@ class TestAttackSweep:
         second = attack_sweep(plain, vocab, malware, pool, cfg)
         assert first == second
 
+    def test_two_trials_keep_the_lower_score(self, trained_setup):
+        vocab, pool, _, plain, malware = trained_setup
+        cfg = AttackConfig(overheads=(0.0, 50.0, 200.0), seed=29, trials_per_sample=2)
+        report = attack_sweep(plain, vocab, malware, pool, cfg)
+        trials_differ = 0
+        for g, outcome in zip(malware.records, report.samples):
+            g = normalize_fcg(g)
+            for overhead in cfg.overheads:
+                scores = [
+                    score_graphs(plain, [apply_perturbation(g, generate_attack(
+                        g, pool, overhead, modes=cfg.modes, seed=cfg.seed, trial=trial))], vocab)[0]
+                    for trial in (0, 1)
+                ]
+                assert outcome.adv_scores[overhead] == min(scores)
+                assert outcome.evaded[overhead] == (outcome.original_score >= 0.5 and min(scores) < 0.5)
+                trials_differ += scores[0] != scores[1]
+        assert trials_differ > 0
+
     def test_non_malware_record_rejected(self, trained_setup):
         vocab, pool, _, plain, _ = trained_setup
         benign = Corpus((Fcg("b", "benign", "main", (FunctionNode("main", ("toka",)),), ()),))
@@ -290,10 +308,33 @@ class TestCheckMonotonicity:
         vocab, _, nonneg, _, malware = trained_setup
         g = normalize_fcg(malware.records[0])
         adj = build_normalized_adjacency(g)
-        x = embed_graph(g, vocab).counts.astype(float)
-        p1, _ = forward(nonneg, adj, x)
-        p2, _ = forward(nonneg, adj, x + np.zeros_like(x))
+        x = embed_graph(g, vocab).counts
+        p1, _ = forward(nonneg, prepare_graph(adj, x))
+        p2, _ = forward(nonneg, prepare_graph(adj, x + np.zeros_like(x)))
         assert p1 == p2
+
+    @pytest.mark.parametrize("readout", ["avg", "sum", "max"])
+    def test_perturbed_score_equals_forward_on_edited_features(self, trained_setup, readout):
+        # replays the audit's draws; the hostile model makes every trial's score visible
+        vocab, _, _, _, malware = trained_setup
+        hostile = hostile_model(vocab.size)
+        report = check_monotonicity(hostile, vocab, malware, trials=60, seed=13, readout=readout)
+        seen = {v.trial: v for v in report.violations}
+        assert len(seen) > 40
+        graphs = [normalize_fcg(g) for g in malware.records]
+        rng = np.random.default_rng(np.random.SeedSequence([13, 0x3A0]))
+        for trial in range(60):
+            g = graphs[int(rng.integers(len(graphs)))]
+            x = embed_graph(g, vocab).counts
+            delta = np.zeros_like(x)
+            n_edits = int(rng.integers(1, 21))
+            rows = rng.integers(x.shape[0], size=n_edits)
+            cols = rng.integers(x.shape[1], size=n_edits)
+            np.add.at(delta, (rows, cols), rng.integers(1, 4, size=n_edits))
+            if trial in seen:
+                assert seen[trial].graph_id == g.graph_id
+                expected, _ = forward(hostile, prepare_graph(build_normalized_adjacency(g), x + delta), readout)
+                assert abs(seen[trial].score_after - expected) <= 1e-12
 
 
 class TestPoolFile:

@@ -124,6 +124,37 @@ class TestPipeline:
         )
         assert code == EXIT_OK
 
+    def test_check_monotone_prints_certificate_for_nonneg_model(self, workspace, capsys):
+        root, corpus, vocab, model = workspace
+        code = run(
+            ["check-monotone", "--corpus", str(corpus) + ".test", "--vocab", str(vocab),
+             "--model", str(model), "--trials", "20", "--seed", "5"]
+        )
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("certificate: w_gcn1, w_gcn2, w_hidden and w_out are non-negative")
+        assert "non-decreasing in every token count" in lines[0]
+        assert "adding functions changes the normalization and is not covered" in lines[0]
+        assert lines[1].startswith("20 trials, 0 violations (enforced)")
+
+    def test_check_monotone_names_negative_matrices_of_plain_model(self, workspace, tmp_path, capsys):
+        root, corpus, vocab, model = workspace
+        v = read_vocabulary(vocab)
+        plain = load_model(model, v)
+        plain.nonneg_gcn = plain.nonneg_gclf = False
+        plain.w_hidden[0, 0] = -1.0
+        plain.w_out[0] = -0.5
+        path = tmp_path / "plain.txt"
+        save_model(plain, path, v)
+        code = run(
+            ["check-monotone", "--corpus", str(corpus) + ".test", "--vocab", str(vocab),
+             "--model", str(path), "--trials", "20", "--seed", "5"]
+        )
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "certificate: none; negative entries in w_hidden, w_out"
+        assert "(informational)" in lines[1]
+
     def test_inspect(self, workspace, capsys):
         root, corpus, vocab, _ = workspace
         assert run(["inspect", "--corpus", str(corpus), "--vocab", str(vocab)]) == EXIT_OK
@@ -210,6 +241,45 @@ class TestExitCodes:
         save_model(hostile_model(v.size), path, v)
         assert run(["check-monotone", "--corpus", str(corpus) + ".test", "--vocab", str(vocab),
                     "--model", str(path), "--trials", "50"]) == EXIT_DATA
+
+    def test_model_dims_not_matching_vocabulary_is_data_error(self, workspace, tmp_path, capsys):
+        root, corpus, vocab, model = workspace
+        lines = model.read_text(encoding="utf-8").splitlines()
+        d, h1, h2, hg = (int(v) for v in lines[1].split()[1:])
+        header = lines.index(f"matrix w_gcn1 {d} {h1}")
+        del lines[header + 1]
+        lines[header] = f"matrix w_gcn1 {d - 1} {h1}"
+        lines[1] = f"dims {d - 1} {h1} {h2} {hg}"
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run(
+            ["eval", "--corpus", str(corpus) + ".test", "--vocab", str(vocab),
+             "--model", str(path), "--out", str(tmp_path / "metrics.txt")]
+        )
+        assert code == EXIT_DATA
+        assert f"d={d - 1}, but the vocabulary has {d} tokens" in capsys.readouterr().err
+
+    def test_matrix_header_claiming_more_values_than_rows_hold_is_data_error(self, workspace, tmp_path, capsys):
+        root, corpus, vocab, model = workspace
+        lines = model.read_text(encoding="utf-8").splitlines()
+        d, h1, h2, hg = (int(v) for v in lines[1].split()[1:])
+        huge = 10**12
+        lines[1] = f"dims {d} {huge} {h2} {hg}"
+        lines[lines.index(f"matrix w_gcn1 {d} {h1}")] = f"matrix w_gcn1 {d} {huge}"
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run(
+            ["eval", "--corpus", str(corpus) + ".test", "--vocab", str(vocab),
+             "--model", str(path), "--out", str(tmp_path / "metrics.txt")]
+        )
+        assert code == EXIT_DATA
+        assert f"matrix w_gcn1 row 0 has {h1} values, expected {huge}" in capsys.readouterr().err
+
+    def test_deeply_nested_json_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.jsonl"
+        path.write_text("[" * 100000 + "\n", encoding="utf-8")
+        assert run(["inspect", "--corpus", str(path)]) == EXIT_DATA
+        assert "nested too deeply" in capsys.readouterr().err
 
     def test_non_finite_weight_is_data_error(self, workspace, tmp_path, capsys):
         root, corpus, vocab, model = workspace

@@ -9,11 +9,11 @@ from mal2gcn.gcn import (
     ModelIOError,
     ModelParams,
     NormalizedAdjacency,
+    batch_loss_and_gradients,
     build_normalized_adjacency,
     forward,
     input_gradient,
     load_model,
-    loss_and_gradients,
     prepare_graph,
     project_nonnegative,
     save_model,
@@ -96,12 +96,12 @@ class TestForward:
         m.w_out[:] = 0.0
         m.b_out[:] = 0.0
         adj = build_normalized_adjacency(chain_graph(2))
-        p, _ = forward(m, adj, np.ones((2, 3)))
+        p, _ = forward(m, prepare_graph(adj, np.ones((2, 3))))
         assert p == 0.5
 
     def test_hand_evaluated_composition(self):
         adj = NormalizedAdjacency(1, np.array([[1.0]]))
-        p, _ = forward(tiny_identity_model(), adj, np.array([[2.0]]))
+        p, _ = forward(tiny_identity_model(), prepare_graph(adj, np.array([[2.0]])))
         assert p == pytest.approx(0.8807970779778823, abs=1e-15)
 
     def test_doubling_features_never_lowers_nonneg_score(self, rng):
@@ -111,23 +111,23 @@ class TestForward:
             adj = build_normalized_adjacency(g)
             x = rng.integers(0, 4, size=(4, 5)).astype(float)
             for readout in ("avg", "sum", "max"):
-                p1, _ = forward(m, adj, x, readout)
-                p2, _ = forward(m, adj, 2 * x, readout)
+                p1, _ = forward(m, prepare_graph(adj, x), readout)
+                p2, _ = forward(m, prepare_graph(adj, 2 * x), readout)
                 assert p2 >= p1
 
     def test_dimension_mismatch_rejected(self, rng):
         m = random_params(rng, d=3, h1=2, h2=2, hg=2)
         adj = build_normalized_adjacency(chain_graph(2))
         with pytest.raises(ValueError):
-            forward(m, adj, np.ones((2, 5)))
+            forward(m, prepare_graph(adj, np.ones((2, 5))))
         with pytest.raises(ValueError):
-            forward(m, adj, np.ones((3, 3)))
+            prepare_graph(adj, np.ones((3, 3)))
 
     def test_unknown_readout_rejected(self, rng):
         m = random_params(rng, d=2, h1=2, h2=2, hg=2)
         adj = build_normalized_adjacency(chain_graph(2))
         with pytest.raises(ValueError):
-            forward(m, adj, np.ones((2, 2)), "median")
+            forward(m, prepare_graph(adj, np.ones((2, 2))), "median")
 
     def test_permutation_invariance(self, rng):
         for readout in ("avg", "sum", "max"):
@@ -135,10 +135,10 @@ class TestForward:
             g = chain_graph(5, [("n4", "n1")])
             adj = build_normalized_adjacency(g)
             x = rng.normal(size=(5, 4)) ** 2
-            p, _ = forward(m, adj, x, readout)
+            p, _ = forward(m, prepare_graph(adj, x), readout)
             perm = rng.permutation(5)
             adj_p = NormalizedAdjacency(5, adj.values[np.ix_(perm, perm)])
-            p2, _ = forward(m, adj_p, x[perm], readout)
+            p2, _ = forward(m, prepare_graph(adj_p, x[perm]), readout)
             assert p2 == pytest.approx(p, abs=1e-9)
 
 
@@ -165,9 +165,9 @@ class TestGradients:
     def test_parameter_gradients_match_finite_differences(self, readout):
         for seed in range(4):
             m, adj, x, y = make_safe_instance(1000 + seed, readout)
-            batch = [(adj, x, y)]
-            _, analytic = loss_and_gradients(m, batch, readout)
-            numeric = fd_param_grads(m, batch, readout)
+            prepared, labels = [prepare_graph(adj, x)], [y]
+            _, analytic, _ = batch_loss_and_gradients(m, prepared, labels, readout)
+            numeric = fd_param_grads(m, prepared, labels, readout)
             for name in analytic:
                 err = rel_err(analytic[name], numeric[name])
                 assert err.max() < 1e-4, f"{name} mismatch at {readout}: {err.max()}"
@@ -177,9 +177,9 @@ class TestGradients:
         _, adj2, x2, y2 = make_safe_instance(78, "avg")
         if x2.shape[1] != x1.shape[1]:
             x2 = np.resize(x2, (x2.shape[0], x1.shape[1]))
-        batch = [(adj1, x1, y1), (adj2, x2, y2)]
-        _, analytic = loss_and_gradients(m, batch, "avg")
-        numeric = fd_param_grads(m, batch, "avg")
+        prepared, labels = [prepare_graph(adj1, x1), prepare_graph(adj2, x2)], [y1, y2]
+        _, analytic, _ = batch_loss_and_gradients(m, prepared, labels, "avg")
+        numeric = fd_param_grads(m, prepared, labels, "avg")
         for name in analytic:
             assert rel_err(analytic[name], numeric[name]).max() < 1e-4
 
@@ -190,9 +190,9 @@ class TestGradients:
             g = chain_graph(int(rng.integers(1, 5)))
             adj = build_normalized_adjacency(g)
             x = rng.integers(0, 4, size=(adj.n, 4)).astype(float)
-            samples.append((adj, x, int(rng.integers(2))))
-        _, batched = loss_and_gradients(m, samples, "avg")
-        singles = [loss_and_gradients(m, [s], "avg")[1] for s in samples]
+            samples.append((prepare_graph(adj, x), int(rng.integers(2))))
+        _, batched, _ = batch_loss_and_gradients(m, [pg for pg, _ in samples], [y for _, y in samples], "avg")
+        singles = [batch_loss_and_gradients(m, [pg], [y], "avg")[1] for pg, y in samples]
         for name in batched:
             mean = sum(s[name] for s in singles) / len(singles)
             assert np.allclose(batched[name], mean, atol=1e-12)
@@ -203,7 +203,7 @@ class TestGradients:
         m.b_out[:] = 40.0  # p saturates at ~1
         adj = build_normalized_adjacency(chain_graph(2))
         x = np.ones((2, 2))
-        loss, grads = loss_and_gradients(m, [(adj, x, 1)], "avg")
+        loss, grads, _ = batch_loss_and_gradients(m, [prepare_graph(adj, x)], [1], "avg")
         assert loss < 1e-6
         for g in grads.values():
             assert np.abs(g).max() < 1e-6
@@ -213,7 +213,7 @@ class TestGradients:
         m.w_out[:] = 0.0
         m.b_out[:] = 0.0
         adj = build_normalized_adjacency(chain_graph(2))
-        loss, _ = loss_and_gradients(m, [(adj, np.ones((2, 2)), 1)], "avg")
+        loss, _, _ = batch_loss_and_gradients(m, [prepare_graph(adj, np.ones((2, 2)))], [1], "avg")
         assert loss == pytest.approx(np.log(2.0), abs=1e-15)
 
 
@@ -221,16 +221,16 @@ class TestInputGradient:
     def test_matches_finite_differences(self):
         for seed in (5, 6):
             m, adj, x, _ = make_safe_instance(seed, "avg")
-            analytic = input_gradient(m, adj, x, "avg")
+            analytic = input_gradient(m, prepare_graph(adj, x), "avg")
             step = 1e-4
             numeric = np.zeros_like(x)
             for i in range(x.shape[0]):
                 for j in range(x.shape[1]):
                     xp = x.copy()
                     xp[i, j] += step
-                    up, _ = forward(m, adj, xp, "avg")
+                    up, _ = forward(m, prepare_graph(adj, xp), "avg")
                     xp[i, j] -= 2 * step
-                    down, _ = forward(m, adj, xp, "avg")
+                    down, _ = forward(m, prepare_graph(adj, xp), "avg")
                     numeric[i, j] = (up - down) / (2 * step)
             assert rel_err(analytic, numeric).max() < 1e-4
 
@@ -239,14 +239,14 @@ class TestInputGradient:
             m = random_params(rng, d=5, h1=4, h2=3, hg=3, nonneg=True)
             adj = build_normalized_adjacency(chain_graph(4))
             x = rng.integers(0, 4, size=(4, 5)).astype(float)
-            grad = input_gradient(m, adj, x, readout)
+            grad = input_gradient(m, prepare_graph(adj, x), readout)
             assert grad.min() >= 0.0
 
     def test_zero_output_head_gives_zero_gradient(self, rng):
         m = random_params(rng, d=3, h1=2, h2=2, hg=2)
         m.w_out[:] = 0.0
         adj = build_normalized_adjacency(chain_graph(3))
-        grad = input_gradient(m, adj, np.ones((3, 3)))
+        grad = input_gradient(m, prepare_graph(adj, np.ones((3, 3))))
         assert np.abs(grad).max() == 0.0
 
 

@@ -1,0 +1,33 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+VARIANTS = ("plain", "gcn-nonneg", "full-nonneg")
+
+
+def test_run_pipeline_writes_every_artifact_and_the_summary(tmp_path):
+    work = tmp_path / "work"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_pipeline.py"), "--workdir", str(work),
+         "--n-benign", "20", "--n-malware", "20", "--split", "24,8,8", "--epochs", "1"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("variant "))
+    assert lines[header].split() == ["variant", "test", "acc", "auc", "robust", "mono.viol", "mode", "train", "s"]
+    rows = [line.split() for line in lines[header + 1 : header + 1 + len(VARIANTS)]]
+    assert [row[0] for row in rows] == list(VARIANTS)
+    assert [row[5] for row in rows] == ["info", "info", "audit"]
+    assert rows[2][4] == "0"  # the fully non-negative model shows no monotonicity violation
+    assert lines[-1] == f"artifacts written to {work}/"
+
+    expected = {"corpus.train.jsonl", "corpus.val.jsonl", "corpus.test.jsonl", "benign.pool", "vocab.tsv"}
+    for variant in VARIANTS:
+        expected |= {f"model.{variant}.txt", f"train.{variant}.txt", f"metrics.{variant}.txt", f"attack.{variant}.tsv"}
+    assert {p.name for p in work.iterdir()} == expected
+    assert all((work / name).stat().st_size > 0 for name in expected)
