@@ -385,7 +385,7 @@ def _cmd_inspect(args) -> int:
         vocab = read_vocabulary(args.vocab)
         fm = embed_graph(g, vocab)
         in_vocab = int(fm.counts.sum())
-        nonzero_rows = int((fm.counts.sum(axis=1) > 0).sum())
+        nonzero_rows = int((fm.counts.getnnz(axis=1) > 0).sum())  # CSR stores no zero counts
         print(f"embedding: d={fm.d}, {in_vocab} in-vocabulary token occurrences, {nonzero_rows}/{fm.n} nodes with features")
     return EXIT_OK
 

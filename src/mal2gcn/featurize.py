@@ -10,6 +10,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .fcg import Corpus, DataError, Fcg, FormatError, LABEL_MALWARE, read_lines
 
@@ -83,11 +84,11 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Per-graph n x d matrix of non-negative token counts, one row per node."""
+    """Per-graph n x d token counts, one row per node, as CSR holding only the entries > 0."""
 
     n: int
     d: int
-    counts: np.ndarray  # (n, d) int64, entrywise >= 0
+    counts: sparse.csr_matrix  # (n, d) int64
     node_order: tuple[str, ...]
 
 
@@ -180,19 +181,18 @@ def embed_graph(g: Fcg, vocab: Vocabulary) -> FeatureMatrix:
     """Count in-vocabulary token occurrences per node; row i is g.nodes[i]."""
     n = len(g.nodes)
     d = vocab.size
-    offset = len(vocab.api_tokens)
-    counts = np.zeros((n, d), dtype=np.int64)
+    blocks = ((KIND_API, vocab._api_index, 0), (KIND_STRING, vocab._string_index, len(vocab.api_tokens)))
+    keys = []  # row * d + col, once per occurrence
     for i, node in enumerate(g.nodes):
-        row = counts[i]
-        for token in _node_tokens(node, KIND_API):
-            idx = vocab._api_index.get(token)
-            if idx is not None:
-                row[idx] += 1
-        for token in _node_tokens(node, KIND_STRING):
-            idx = vocab._string_index.get(token)
-            if idx is not None:
-                row[offset + idx] += 1
-    return FeatureMatrix(n=n, d=d, counts=counts, node_order=g.node_ids())
+        for kind, index, offset in blocks:
+            for token in _node_tokens(node, kind):
+                idx = index.get(token)
+                if idx is not None:
+                    keys.append(i * d + offset + idx)
+    keys, counts = np.unique(np.array(keys, dtype=np.int64), return_counts=True)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * d)  # row i's keys start at i * d
+    matrix = sparse.csr_matrix((counts, keys % d, indptr), shape=(n, d))
+    return FeatureMatrix(n=n, d=d, counts=matrix, node_order=g.node_ids())
 
 
 # ---------------------------------------------------------------------------

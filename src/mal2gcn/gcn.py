@@ -1,11 +1,11 @@
 """Two-layer graph-convolution classifier: normalized adjacency, forward pass,
 exact backpropagation, non-negative projection, and model file I/O.
 
-Everything is dense float64 except the precomputed adjacency-times-features
-product, which is stored sparse as an internal optimization (node feature
-rows are mostly zeros).  The convolution layers carry no bias; the classifier
-head does, and biases are exempt from the non-negative projection because an
-additive constant never breaks monotonicity.
+A graph's adjacency, token counts and their product are CSR matrices built
+from index arrays, so its memory grows with nodes + edges, not nodes squared;
+weights and activations are dense float64.  The convolution layers carry no
+bias; the classifier head does, and biases are exempt from the non-negative
+projection because an additive constant never breaks monotonicity.
 """
 
 from dataclasses import dataclass, replace
@@ -33,10 +33,12 @@ class ModelIOError(DataError):
 
 @dataclass(frozen=True)
 class NormalizedAdjacency:
-    """Symmetric degree-normalized adjacency with self-loops added to every node."""
+    """Symmetric degree-normalized adjacency with self-loops, as CSR arrays with sorted indices."""
 
     n: int
-    values: np.ndarray  # (n, n) float64, entrywise >= 0, symmetric
+    values: np.ndarray  # (nnz,) float64, each > 0
+    indices: np.ndarray  # (nnz,) column of each value
+    indptr: np.ndarray  # (n+1,) row i is values[indptr[i]:indptr[i+1]]
 
 
 def build_normalized_adjacency(g: Fcg) -> NormalizedAdjacency:
@@ -47,15 +49,15 @@ def build_normalized_adjacency(g: Fcg) -> NormalizedAdjacency:
     """
     index = {node.id: i for i, node in enumerate(g.nodes)}
     n = len(g.nodes)
-    a = np.zeros((n, n), dtype=np.float64)
-    for caller, callee in g.edges:
-        i, j = index[caller], index[callee]
-        if i != j:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
-    a[np.diag_indices(n)] = 1.0
-    inv_sqrt_deg = 1.0 / np.sqrt(a.sum(axis=1))
-    return NormalizedAdjacency(n=n, values=a * np.outer(inv_sqrt_deg, inv_sqrt_deg))
+    ends = np.fromiter((index[v] for edge in g.edges for v in edge), np.int64, 2 * len(g.edges))
+    i, j = ends.reshape(-1, 2).T
+    # row-major keys of every stored entry: the sorted unique keys are the CSR order,
+    # and a self-edge's key is the diagonal's, so it adds nothing
+    keys = np.unique(np.concatenate([i * n + j, j * n + i, np.arange(n) * (n + 1)]))
+    rows, cols = np.divmod(keys, n)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    inv_sqrt_deg = 1.0 / np.sqrt(np.diff(indptr))
+    return NormalizedAdjacency(n, inv_sqrt_deg[rows] * inv_sqrt_deg[cols], cols, indptr)
 
 
 @dataclass
@@ -142,14 +144,12 @@ class PreparedGraph:
     ax: sparse.csr_matrix  # (n, d) adjacency @ features
 
 
-def prepare_graph(adj: NormalizedAdjacency, counts: np.ndarray) -> PreparedGraph:
-    """Cache the adjacency and adjacency @ features of one graph; counts is its (n, d) feature array."""
-    xf = np.asarray(counts, dtype=np.float64)
-    if xf.shape[0] != adj.n:
-        raise ValueError(f"feature rows ({xf.shape[0]}) do not match adjacency size ({adj.n})")
-    return PreparedGraph(
-        n=adj.n, adj=sparse.csr_matrix(adj.values), ax=sparse.csr_matrix(adj.values @ xf)
-    )
+def prepare_graph(adj: NormalizedAdjacency, counts: sparse.csr_matrix | np.ndarray) -> PreparedGraph:
+    """Cache the adjacency and adjacency @ features of one graph; counts is its (n, d) sparse or dense count matrix."""
+    a = sparse.csr_matrix((adj.values, adj.indices, adj.indptr), shape=(adj.n, adj.n))
+    ax = a @ sparse.csr_matrix(counts, dtype=np.float64)  # raises ValueError if the row counts differ
+    ax.sort_indices()  # the forward pass sums a row's terms in storage order
+    return PreparedGraph(n=adj.n, adj=a, ax=ax)
 
 
 def prepare_fcg(g: Fcg, vocab: Vocabulary) -> PreparedGraph:

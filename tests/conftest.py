@@ -109,6 +109,59 @@ def brute_force_normalized_adjacency(n, undirected_edges):
     return d_inv_sqrt @ a_tilde @ d_inv_sqrt
 
 
+def dense_normalized_adjacency(g):
+    """The dense n x n construction the sparse builder replaced, kept as its bitwise reference."""
+    index = {node.id: i for i, node in enumerate(g.nodes)}
+    n = len(g.nodes)
+    a = np.zeros((n, n), dtype=np.float64)
+    for caller, callee in g.edges:
+        i, j = index[caller], index[callee]
+        if i != j:
+            a[i, j] = 1.0
+            a[j, i] = 1.0
+    a[np.diag_indices(n)] = 1.0
+    inv_sqrt_deg = 1.0 / np.sqrt(a.sum(axis=1))
+    return a * np.outer(inv_sqrt_deg, inv_sqrt_deg)
+
+
+def dense_counts(g, vocab):
+    """The dense n x d count loop the sparse embedding replaced, kept as its bitwise reference."""
+    from mal2gcn.featurize import KIND_API, KIND_STRING, _node_tokens
+
+    n = len(g.nodes)
+    d = vocab.size
+    offset = len(vocab.api_tokens)
+    counts = np.zeros((n, d), dtype=np.int64)
+    for i, node in enumerate(g.nodes):
+        row = counts[i]
+        for token in _node_tokens(node, KIND_API):
+            idx = vocab._api_index.get(token)
+            if idx is not None:
+                row[idx] += 1
+        for token in _node_tokens(node, KIND_STRING):
+            idx = vocab._string_index.get(token)
+            if idx is not None:
+                row[offset + idx] += 1
+    return counts
+
+
+def adjacency_array(adj):
+    """The dense (n, n) array a NormalizedAdjacency holds."""
+    from scipy import sparse
+
+    return sparse.csr_matrix((adj.values, adj.indices, adj.indptr), shape=(adj.n, adj.n)).toarray()
+
+
+def adjacency_from_dense(a):
+    """NormalizedAdjacency holding the dense (n, n) array a."""
+    from scipy import sparse
+
+    from mal2gcn.gcn import NormalizedAdjacency
+
+    m = sparse.csr_matrix(a)
+    return NormalizedAdjacency(a.shape[0], values=m.data, indices=m.indices, indptr=m.indptr)
+
+
 def fd_param_grads(m, prepared, labels, readout, step=1e-4):
     """Central finite differences of the batch loss for every parameter entry."""
     from mal2gcn.gcn import batch_loss_and_gradients

@@ -31,6 +31,7 @@ from mal2gcn.synth import SynthConfig, generate_corpus, split_corpus
 from mal2gcn.train import TrainConfig, train
 
 from conftest import (
+    adjacency_array,
     brute_force_normalized_adjacency,
     fd_param_grads,
     make_safe_instance,
@@ -88,7 +89,7 @@ def test_c1_monotonicity_randomized_trials():
     vocab = build_vocabulary(corpus, k_api=30, k_str=30)
     graphs = []
     for g in corpus.records:
-        adj, x = build_normalized_adjacency(g), embed_graph(g, vocab).counts
+        adj, x = build_normalized_adjacency(g), embed_graph(g, vocab).counts.toarray()
         graphs.append((adj, x, prepare_graph(adj, x)))
 
     rng = np.random.default_rng(1)
@@ -215,7 +216,7 @@ def test_c6_adjacency_oracle():
         ids = [f"n{i}" for i in range(n)]
         g = Fcg("g", None, ids[0], tuple(FunctionNode(i) for i in ids),
                 tuple((ids[a], ids[b]) for a, b in pairs))
-        mine = build_normalized_adjacency(g).values
+        mine = adjacency_array(build_normalized_adjacency(g))
         oracle = brute_force_normalized_adjacency(n, pairs)
         worst = max(worst, float(np.abs(mine - oracle).max()))
 

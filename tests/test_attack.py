@@ -107,8 +107,8 @@ class TestApplyPerturbation:
         vocab = Vocabulary(("getwindowtexta", "evilapi"), (), (1.0, 1.0), (), 2, 0)
         g = victim()
         p = Perturbation({"n1": (("getwindowtexta",), ())})
-        before = embed_graph(g, vocab).counts
-        after = embed_graph(apply_perturbation(g, p), vocab).counts
+        before = embed_graph(g, vocab).counts.toarray()
+        after = embed_graph(apply_perturbation(g, p), vocab).counts.toarray()
         assert (after - before).sum() == 1
         assert after[1, 0] - before[1, 0] == 1
 
@@ -148,8 +148,8 @@ class TestApplyPerturbation:
         )
         g = victim()
         p = generate_attack(g, pool, 250.0, seed=8)
-        before = embed_graph(g, vocab).counts
-        after = embed_graph(apply_perturbation(g, p), vocab).counts
+        before = embed_graph(g, vocab).counts.toarray()
+        after = embed_graph(apply_perturbation(g, p), vocab).counts.toarray()
         assert (after[: g.n_nodes] >= before).all()
 
 
@@ -308,7 +308,7 @@ class TestCheckMonotonicity:
         vocab, _, nonneg, _, malware = trained_setup
         g = normalize_fcg(malware.records[0])
         adj = build_normalized_adjacency(g)
-        x = embed_graph(g, vocab).counts
+        x = embed_graph(g, vocab).counts.toarray()
         p1, _ = forward(nonneg, prepare_graph(adj, x))
         p2, _ = forward(nonneg, prepare_graph(adj, x + np.zeros_like(x)))
         assert p1 == p2
@@ -325,7 +325,7 @@ class TestCheckMonotonicity:
         rng = np.random.default_rng(np.random.SeedSequence([13, 0x3A0]))
         for trial in range(60):
             g = graphs[int(rng.integers(len(graphs)))]
-            x = embed_graph(g, vocab).counts
+            x = embed_graph(g, vocab).counts.toarray()
             delta = np.zeros_like(x)
             n_edits = int(rng.integers(1, 21))
             rows = rng.integers(x.shape[0], size=n_edits)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mal2gcn.cli import EXIT_CHECK_FAILED, EXIT_DATA, EXIT_OK, EXIT_USAGE, run
-from mal2gcn.featurize import read_vocabulary
+from mal2gcn.featurize import Vocabulary, read_vocabulary, write_vocabulary
 from mal2gcn.gcn import load_model, save_model
 
 from conftest import hostile_model
@@ -161,6 +161,25 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "graph syn_b_00000" in out
         assert "embedding:" in out
+
+    def test_inspect_embedding_line(self, tmp_path, capsys):
+        record = {
+            "graph_id": "g", "label": "malware", "main": "main",
+            "nodes": [
+                {"id": "main", "apis": ["CreateFileW", "CreateFileW", "NtUnknown"], "strings": ["hello world"]},
+                {"id": "a", "apis": [], "strings": []},
+                {"id": "b", "apis": ["RegSetValueA"], "strings": ["abc"]},
+                {"id": "c", "apis": ["NtUnknown"], "strings": ["no such string"]},
+            ],
+            "edges": [["main", "a"], ["a", "b"], ["b", "b"]],
+        }
+        corpus = tmp_path / "one.jsonl"
+        corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        vocab = tmp_path / "vocab.tsv"
+        write_vocabulary(Vocabulary(("createfilew", "regsetvaluea"), ("hello world",), (2.0, 1.0), (1.0,), 2, 1), vocab)
+        assert run(["inspect", "--corpus", str(corpus), "--vocab", str(vocab)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "embedding: d=3, 4 in-vocabulary token occurrences, 2/4 nodes with features"
 
     def test_reports_are_reproducible(self, workspace):
         root, corpus, vocab, model = workspace

@@ -165,7 +165,7 @@ class TestEmbedGraph:
             (),
         )
         fm = embed_graph(g, vocab)
-        assert fm.counts.tolist() == [[2, 1, 1]]
+        assert fm.counts.toarray().tolist() == [[2, 1, 1]]
         assert fm.node_order == ("main",)
 
     def test_out_of_vocabulary_tokens_ignored(self):
@@ -192,7 +192,7 @@ class TestEmbedGraph:
         vocab = small_vocab()
         base = Fcg("g", None, "main", (FunctionNode("main", ("CreateFileW",), ()),), ())
         more = Fcg("g", None, "main", (FunctionNode("main", ("CreateFileW", "RegSetValueA"), ()),), ())
-        diff = embed_graph(more, vocab).counts - embed_graph(base, vocab).counts
+        diff = embed_graph(more, vocab).counts.toarray() - embed_graph(base, vocab).counts.toarray()
         assert diff.sum() == 1
         assert (diff >= 0).all()
 
@@ -202,7 +202,7 @@ class TestEmbedGraph:
         for g in corpus.records[:10]:
             fm = embed_graph(g, vocab)
             assert fm.counts.dtype == np.int64
-            assert (fm.counts >= 0).all()
+            assert (fm.counts.toarray() >= 0).all()
 
 
 class TestVocabularyFile:

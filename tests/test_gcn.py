@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from mal2gcn.fcg import Fcg, FunctionNode
-from mal2gcn.featurize import Vocabulary
+from mal2gcn.featurize import Vocabulary, embed_graph
 from mal2gcn.gcn import (
     ModelIOError,
     ModelParams,
@@ -14,6 +16,7 @@ from mal2gcn.gcn import (
     forward,
     input_gradient,
     load_model,
+    prepare_fcg,
     prepare_graph,
     project_nonnegative,
     save_model,
@@ -21,7 +24,11 @@ from mal2gcn.gcn import (
 )
 
 from conftest import (
+    adjacency_array,
+    adjacency_from_dense,
     brute_force_normalized_adjacency,
+    dense_counts,
+    dense_normalized_adjacency,
     fd_param_grads,
     make_safe_instance,
     random_params,
@@ -39,14 +46,14 @@ def chain_graph(n, extra_edges=()):
 class TestNormalizedAdjacency:
     def test_single_node(self):
         adj = build_normalized_adjacency(chain_graph(1))
-        assert adj.values.tolist() == [[1.0]]
+        assert adjacency_array(adj).tolist() == [[1.0]]
 
     def test_two_nodes_one_edge(self):
-        adj = build_normalized_adjacency(chain_graph(2))
-        assert np.allclose(adj.values, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+        adj = adjacency_array(build_normalized_adjacency(chain_graph(2)))
+        assert np.allclose(adj, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_three_node_path(self):
-        adj = build_normalized_adjacency(chain_graph(3))
+        adj = adjacency_array(build_normalized_adjacency(chain_graph(3)))
         expected = np.array(
             [
                 [0.5, 1 / np.sqrt(6), 0.0],
@@ -54,8 +61,8 @@ class TestNormalizedAdjacency:
                 [0.0, 1 / np.sqrt(6), 0.5],
             ]
         )
-        assert np.allclose(adj.values, expected, atol=1e-12)
-        assert adj.values[0, 2] == 0.0
+        assert np.allclose(adj, expected, atol=1e-12)
+        assert adj[0, 2] == 0.0
 
     def test_matches_brute_force_on_random_topologies(self):
         rng = np.random.default_rng(99)
@@ -69,14 +76,91 @@ class TestNormalizedAdjacency:
                 "g", None, ids[0], tuple(FunctionNode(i) for i in ids),
                 tuple((ids[a], ids[b]) for a, b in edges if a != b),
             )
-            mine = build_normalized_adjacency(g).values
+            mine = adjacency_array(build_normalized_adjacency(g))
             oracle = brute_force_normalized_adjacency(n, [(a, b) for a, b in edges if a != b])
             assert np.abs(mine - oracle).max() < 1e-12
 
     def test_symmetric_and_positive_diagonal(self):
-        adj = build_normalized_adjacency(chain_graph(5, [("n0", "n3")]))
-        assert np.allclose(adj.values, adj.values.T)
-        assert (np.diag(adj.values) > 0).all()
+        adj = adjacency_array(build_normalized_adjacency(chain_graph(5, [("n0", "n3")])))
+        assert np.allclose(adj, adj.T)
+        assert (np.diag(adj) > 0).all()
+
+
+S30 = "0123456789abcdefghijklmnopqrst"  # exactly the 30-character limit
+EDGE_VOCAB = Vocabulary(
+    ("createfilew", "regsetvaluea", "ntclose"),
+    ("abcd", S30, S30[:29]),
+    (1.0, 1.0, 1.0),
+    (1.0, 1.0, 1.0),
+    3,
+    3,
+)
+
+
+def edge_case_graphs():
+    node = FunctionNode
+    tokens = node("t", ("CreateFileW", "createfilew", "NtUnknown", "RegSetValueA"), ("abc", "ABCD", "abcd", "zzzz"))
+    limits = node("s", (), (S30, S30 + "u", S30.upper() + "UVW", S30[:29], S30[:3]))
+    return {
+        "duplicate_edges_both_ways": Fcg(
+            "g", None, "a", (node("a", ("NtClose",)), node("b"), node("c")),
+            (("a", "b"), ("a", "b"), ("b", "a"), ("c", "b"), ("b", "c")),
+        ),
+        "self_edge": Fcg("g", None, "a", (node("a"), tokens), (("a", "a"), ("a", "t"), ("t", "t"))),
+        "isolated_nodes": Fcg("g", None, "a", (node("a"), node("x"), tokens, node("y"), limits), (("a", "t"),)),
+        "one_node": Fcg("g", None, "t", (tokens,), ()),
+        "one_node_self_edge": Fcg("g", None, "s", (limits,), (("s", "s"),)),
+        "repeated_and_oov_tokens": Fcg(
+            "g", None, "t", (tokens, node("u", ("NtUnknown",) * 3, ("none of these",)), limits),
+            (("t", "u"), ("u", "s"), ("t", "s")),
+        ),
+    }
+
+
+class TestSparsePreparationOracle:
+    """Sparse adjacency, counts and A @ X against the dense constructions they replaced."""
+
+    @pytest.mark.parametrize("case", sorted(edge_case_graphs()))
+    def test_matches_dense_reference(self, case):
+        g = edge_case_graphs()[case]
+        adj = build_normalized_adjacency(g)
+        assert adjacency_array(adj).tobytes() == dense_normalized_adjacency(g).tobytes()
+        counts = embed_graph(g, EDGE_VOCAB).counts
+        dense = dense_counts(g, EDGE_VOCAB)
+        assert counts.dtype == dense.dtype
+        assert counts.toarray().tobytes() == dense.tobytes()
+        pg = prepare_graph(adj, counts)
+        for r in range(pg.n):
+            assert (np.diff(pg.ax.indices[pg.ax.indptr[r] : pg.ax.indptr[r + 1]]) > 0).all()
+        assert np.abs(pg.ax.toarray() - adjacency_array(adj) @ dense).max() <= 1e-12
+
+    def test_edge_cases_have_tokens_at_the_string_limits(self):
+        counts = embed_graph(edge_case_graphs()["one_node_self_edge"], EDGE_VOCAB).counts.toarray()
+        # S30 and its 31- and 33-character extensions (one upper-cased) count as S30; S30[:3] is dropped
+        assert counts.tolist() == [[0, 0, 0, 0, 3, 1]]
+
+
+class TestPreparationMemory:
+    """Preparing a graph takes memory linear in nodes + edges (a dense n x n array here is 80 GB)."""
+
+    @pytest.mark.parametrize("shape", ["chain", "star"])
+    def test_100k_node_graph_prepares_in_under_64_mb(self, shape):
+        ids = [f"f{i}" for i in range(100_000 if shape == "chain" else 100_001)]  # the star has 100k callees
+        nodes = tuple(
+            FunctionNode(f, ("CreateFileW", "NtClose") if i % 1000 == 0 else (), ("abcd",) if i % 777 == 0 else ())
+            for i, f in enumerate(ids)
+        )
+        edges = tuple(zip(ids, ids[1:])) if shape == "chain" else tuple((ids[0], f) for f in ids[1:])
+        g = Fcg("big", None, ids[0], nodes, edges)
+        tracemalloc.start()
+        try:
+            pg = prepare_fcg(g, EDGE_VOCAB)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pg.adj.nnz == len(ids) + 2 * (len(ids) - 1)
+        assert pg.ax.shape == (len(ids), EDGE_VOCAB.size)
+        assert peak < 64 * 2**20
 
 
 def tiny_identity_model():
@@ -100,7 +184,7 @@ class TestForward:
         assert p == 0.5
 
     def test_hand_evaluated_composition(self):
-        adj = NormalizedAdjacency(1, np.array([[1.0]]))
+        adj = NormalizedAdjacency(1, values=np.array([1.0]), indices=np.array([0]), indptr=np.array([0, 1]))
         p, _ = forward(tiny_identity_model(), prepare_graph(adj, np.array([[2.0]])))
         assert p == pytest.approx(0.8807970779778823, abs=1e-15)
 
@@ -137,7 +221,7 @@ class TestForward:
             x = rng.normal(size=(5, 4)) ** 2
             p, _ = forward(m, prepare_graph(adj, x), readout)
             perm = rng.permutation(5)
-            adj_p = NormalizedAdjacency(5, adj.values[np.ix_(perm, perm)])
+            adj_p = adjacency_from_dense(adjacency_array(adj)[np.ix_(perm, perm)])
             p2, _ = forward(m, prepare_graph(adj_p, x[perm]), readout)
             assert p2 == pytest.approx(p, abs=1e-9)
 
