@@ -17,16 +17,29 @@ from .featurize import (
     KIND_API,
     KIND_STRING,
     Vocabulary,
+    embed_graph,
     escape_token,
     normalize_token,
     unescape_token,
 )
-from .gcn import ModelParams, forward, input_gradient, prepare_fcg, score_graphs
+from .gcn import (
+    ModelParams,
+    NormalizedAdjacency,
+    PreparedGraph,
+    build_normalized_adjacency,
+    forward,
+    input_gradient,
+    normalized_adjacency,
+    prepare_fcg,
+    prepare_graph,
+    score_prepared,
+)
 
 DEFAULT_OVERHEADS = (0.0, 5.0, 10.0, 20.0, 30.0, 40.0, 50.0, 100.0, 150.0, 200.0, 400.0, 500.0)
 MODES = ("inject_existing", "add_dead_nodes")
 TARGET_FRACTION = 0.5  # inject_existing appends to a random half of the functions
 TOKENS_PER_DEAD_NODE = 20  # add_dead_nodes puts this many tokens in each new function
+MAX_OVERHEAD_PCT = 10000.0  # 20x the default schedule's largest overhead
 
 POOL_HEADER = "#mal2gcn-pool v1"
 ATTACK_REPORT_HEADER = "#mal2gcn-attack v1"
@@ -64,8 +77,10 @@ class AttackConfig:
     def __post_init__(self):
         if not self.modes or any(m not in MODES for m in self.modes):
             raise ValueError(f"modes must be a non-empty subset of {MODES}")
-        if any(o < 0 for o in self.overheads) or list(self.overheads) != sorted(self.overheads):
-            raise ValueError("overheads must be non-negative and ascending")
+        if not all(0 <= o <= MAX_OVERHEAD_PCT for o in self.overheads):
+            raise ValueError(f"overheads must be numbers from 0 to {MAX_OVERHEAD_PCT:g}")
+        if any(a >= b for a, b in zip(self.overheads, self.overheads[1:])):
+            raise ValueError("overheads must be strictly ascending")
         if self.trials_per_sample < 1:
             raise ValueError("trials_per_sample must be >= 1")
 
@@ -93,12 +108,67 @@ def _sample_rng_seed(seed: int, graph_id: str, trial: int) -> np.random.SeedSequ
     return np.random.SeedSequence([seed, trial, int.from_bytes(digest[:8], "big")])
 
 
-def _draw_token(rng: np.random.Generator, pool: BenignPool):
-    """Returns (kind, token) drawn uniformly from the combined pool."""
-    idx = int(rng.integers(pool.size))
-    if idx < len(pool.apis):
-        return KIND_API, pool.apis[idx]
-    return KIND_STRING, pool.strings[idx - len(pool.apis)]
+def _budget(n_tokens: int, overhead_pct: float) -> int:
+    return int(round(overhead_pct / 100.0 * n_tokens))
+
+
+def _split_budget(budget: int, modes) -> tuple[int, int]:
+    """(inject_existing tokens, add_dead_nodes tokens); both modes split the budget in half."""
+    if "add_dead_nodes" not in modes:
+        return budget, 0
+    if "inject_existing" not in modes:
+        return 0, budget
+    return budget // 2, budget - budget // 2
+
+
+@dataclass(frozen=True)
+class _Draw:
+    """One trial's draws as index arrays in draw order; a smaller budget's are a prefix of each."""
+
+    targets: np.ndarray  # node index each inject_existing token is appended to
+    injected: np.ndarray  # pool index of each inject_existing token
+    callers: np.ndarray  # node index that calls each dead node
+    dead: np.ndarray  # pool index of each dead-node token, TOKENS_PER_DEAD_NODE to a node
+
+    def prefix(self, budget: int, modes) -> "_Draw":
+        n_existing, n_dead = _split_budget(budget, modes)
+        n_nodes = -(-n_dead // TOKENS_PER_DEAD_NODE)
+        return _Draw(self.targets[:n_existing], self.injected[:n_existing], self.callers[:n_nodes], self.dead[:n_dead])
+
+
+def _draw(g: Fcg, pool: BenignPool, budget: int, modes, seed: int, trial: int) -> _Draw:
+    """Draw a budget's targets and tokens with one bounded-integer call per mode.
+
+    Each call lists the bound of every draw in stream order: a (target,
+    token) pair per inject_existing token, and for add_dead_nodes a caller
+    before each TOKENS_PER_DEAD_NODE tokens.  numpy draws an array of bounds
+    exactly as it draws them one call at a time, so the draws equal those of
+    per-token calls, and a smaller budget's draws are a prefix of a larger's.
+    """
+    n_existing, n_dead = _split_budget(budget, modes)
+    targets = injected = callers = dead = np.zeros(0, dtype=np.int64)
+    ss_existing, ss_dead = _sample_rng_seed(seed, g.graph_id, trial).spawn(2)
+    if n_existing:
+        rng = np.random.default_rng(ss_existing)
+        chosen = rng.choice(g.n_nodes, size=max(1, int(round(TARGET_FRACTION * g.n_nodes))), replace=False)
+        pairs = rng.integers(0, np.tile([len(chosen), pool.size], n_existing))
+        targets, injected = chosen[pairs[0::2]], pairs[1::2]
+    if n_dead:
+        rng = np.random.default_rng(ss_dead)
+        stride = TOKENS_PER_DEAD_NODE + 1
+        bounds = np.full(n_dead + -(-n_dead // TOKENS_PER_DEAD_NODE), pool.size)
+        bounds[::stride] = g.n_nodes
+        draws = rng.integers(0, bounds)
+        callers, dead = draws[::stride], np.delete(draws, np.s_[::stride])
+    return _Draw(targets, injected, callers, dead)
+
+
+def _pool_tokens(pool: BenignPool, picked) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(api tokens, string tokens) at pool indices `picked`, apis numbered first."""
+    n_api = len(pool.apis)
+    picked = picked.tolist()
+    apis = tuple(pool.apis[k] for k in picked if k < n_api)
+    return apis, tuple(pool.strings[k - n_api] for k in picked if k >= n_api)
 
 
 def generate_attack(
@@ -114,71 +184,34 @@ def generate_attack(
 
     inject_existing appends tokens to a random TARGET_FRACTION of the
     functions; add_dead_nodes packs them TOKENS_PER_DEAD_NODE to a new
-    function, each called from a random existing one.
+    function, each called from a random existing one.  Both modes split the
+    budget in half.
 
-    Deterministic per (graph, seed, trial, modes).  Token/target draws use a
-    dedicated substream per mode and are consumed in budget order, so for a
-    fixed seed a larger budget extends a smaller one (nested perturbations).
+    Deterministic per (graph, seed, trial, modes).  Each mode draws from its
+    own substream in budget order (see _draw), so for a fixed seed a larger
+    budget extends a smaller one (nested perturbations); attack_sweep scores
+    such prefixes of one draw without building the perturbation.
     """
-    if overhead_pct < 0:
-        raise ValueError("overhead_pct must be >= 0")
+    if not 0 <= overhead_pct <= MAX_OVERHEAD_PCT:
+        raise ValueError(f"overhead_pct must be a number from 0 to {MAX_OVERHEAD_PCT:g}")
     modes = tuple(modes)
     if not modes or any(m not in MODES for m in modes):
         raise ValueError(f"modes must be a non-empty subset of {MODES}")
 
-    budget = int(round(overhead_pct / 100.0 * g.total_token_count))
-    if budget == 0:
-        return Perturbation(token_additions={})
-    if pool.size == 0:
-        raise DataError("cannot generate a positive-budget attack from an empty pool")
-
-    if "inject_existing" in modes and "add_dead_nodes" in modes:
-        budget_existing = budget // 2
-        budget_dead = budget - budget_existing
-    elif "inject_existing" in modes:
-        budget_existing, budget_dead = budget, 0
-    else:
-        budget_existing, budget_dead = 0, budget
-
-    ss_existing, ss_dead = _sample_rng_seed(seed, g.graph_id, trial).spawn(2)
-    node_ids = g.node_ids()
-
-    additions: dict[str, tuple[list, list]] = {}
-    if budget_existing > 0:
-        rng = np.random.default_rng(ss_existing)
-        count = max(1, int(round(TARGET_FRACTION * len(node_ids))))
-        targets = [node_ids[i] for i in rng.choice(len(node_ids), size=count, replace=False)]
-        for _ in range(budget_existing):
-            node_id = targets[int(rng.integers(len(targets)))]
-            kind, token = _draw_token(rng, pool)
-            apis, strings = additions.setdefault(node_id, ([], []))
-            (apis if kind == KIND_API else strings).append(token)
-
-    new_nodes: list[FunctionNode] = []
-    attach_edges: list[tuple[str, str]] = []
-    if budget_dead > 0:
-        rng = np.random.default_rng(ss_dead)
-        existing = set(node_ids)
-        chunks: list[tuple[str, str, list, list]] = []  # (node id, caller, apis, strings)
-        for i in range(budget_dead):
-            chunk = i // TOKENS_PER_DEAD_NODE
-            if chunk == len(chunks):
-                node_id = f"dead{chunk:04d}"
-                while node_id in existing:
-                    node_id = "x" + node_id
-                caller = node_ids[int(rng.integers(len(node_ids)))]
-                chunks.append((node_id, caller, [], []))
-            kind, token = _draw_token(rng, pool)
-            (chunks[chunk][2] if kind == KIND_API else chunks[chunk][3]).append(token)
-        for node_id, caller, apis, strings in chunks:
-            new_nodes.append(FunctionNode(node_id, tuple(apis), tuple(strings)))
-            attach_edges.append((caller, node_id))
-
-    return Perturbation(
-        token_additions={k: (tuple(a), tuple(s)) for k, (a, s) in additions.items()},
-        new_nodes=tuple(new_nodes),
-        attach_edges=tuple(attach_edges),
-    )
+    draw = _draw(g, pool, _budget(g.total_token_count, overhead_pct), modes, seed, trial)
+    additions = {}
+    for target in dict.fromkeys(draw.targets.tolist()):  # nodes in order of their first token
+        additions[g.nodes[target].id] = _pool_tokens(pool, draw.injected[draw.targets == target])
+    existing = set(g.node_ids())
+    new_nodes, attach_edges = [], []
+    for chunk, caller in enumerate(draw.callers.tolist()):
+        node_id = f"dead{chunk:04d}"
+        while node_id in existing:
+            node_id = "x" + node_id
+        lo = chunk * TOKENS_PER_DEAD_NODE
+        new_nodes.append(FunctionNode(node_id, *_pool_tokens(pool, draw.dead[lo : lo + TOKENS_PER_DEAD_NODE])))
+        attach_edges.append((g.nodes[caller].id, node_id))
+    return Perturbation(additions, tuple(new_nodes), tuple(attach_edges))
 
 
 def apply_perturbation(g: Fcg, p: Perturbation) -> Fcg:
@@ -238,18 +271,57 @@ class AttackReport:
     n_detected: int
 
 
-def _attack_one(g, model, vocab, pool, cfg: AttackConfig, readout: str) -> SampleOutcome:
+def _prepare_attacked(
+    adj: NormalizedAdjacency, counts: sparse.coo_matrix, columns: np.ndarray, draw: _Draw
+) -> PreparedGraph:
+    """prepare_fcg of the attacked graph, from the adjacency and counts of the sample g.
+
+    The attacked graph is normalize_fcg(apply_perturbation(g, p)), p the
+    perturbation of `draw`: the drawn tokens add integer counts to their
+    rows, and dead nodes add rows below g's and an edge from each caller.
+    The counts are exact and A @ X sums in A's storage order, so the result
+    is bitwise the one prepare_fcg builds.
+    """
+    n, d = counts.shape
+    n_dead = len(draw.callers)
+    rows = np.concatenate([counts.row, draw.targets, n + np.arange(len(draw.dead)) // TOKENS_PER_DEAD_NODE])
+    cols = np.concatenate([counts.col, columns[draw.injected], columns[draw.dead]])
+    data = np.concatenate([counts.data, np.ones(len(cols) - counts.nnz, dtype=np.int64)])
+    hit = cols >= 0  # in-vocabulary tokens
+    attacked = sparse.csr_matrix((data[hit], (rows[hit], cols[hit])), shape=(n + n_dead, d))  # repeats add up
+    if n_dead:
+        # g's stored entries already hold its edges both ways and its self-loops
+        own = np.repeat(np.arange(n), np.diff(adj.indptr))
+        adj = normalized_adjacency(
+            n + n_dead, np.concatenate([own, draw.callers]), np.concatenate([adj.indices, n + np.arange(n_dead)])
+        )
+    return prepare_graph(adj, attacked)
+
+
+def _attack_one(g, model, vocab, pool, columns, cfg: AttackConfig, readout: str) -> SampleOutcome:
+    """Score a sample at every overhead from one preparation and one draw per trial.
+
+    The sample is normalized, its adjacency built and its tokens counted
+    once.  Each trial draws once, at the largest budget, and each overhead
+    scores a prefix of that draw: inject_existing reuses the adjacency,
+    add_dead_nodes extends it by the added nodes.  Every score equals
+    score_graphs on the graph that generate_attack's perturbation gives.
+    """
     g = normalize_fcg(g)  # attack the graph as it is scored
-    original = float(score_graphs(model, [g], vocab, readout)[0])
+    adj = build_normalized_adjacency(g)
+    counts = embed_graph(g, vocab).counts
+    original = float(score_prepared(model, [prepare_graph(adj, counts)], readout)[0])
     detected = original >= 0.5
+    n_tokens = g.total_token_count
+    largest = _budget(n_tokens, cfg.overheads[-1]) if cfg.overheads else 0
+    draws = [_draw(g, pool, largest, cfg.modes, cfg.seed, trial) for trial in range(cfg.trials_per_sample)]
+    counts = counts.tocoo()
     adv_scores = {}
     evaded = {}
     for overhead in cfg.overheads:
-        adversarial = [
-            apply_perturbation(g, generate_attack(g, pool, overhead, modes=cfg.modes, seed=cfg.seed, trial=trial))
-            for trial in range(cfg.trials_per_sample)
-        ]
-        worst = min(score_graphs(model, adversarial, vocab, readout).tolist())
+        budget = _budget(n_tokens, overhead)
+        prepared = [_prepare_attacked(adj, counts, columns, draw.prefix(budget, cfg.modes)) for draw in draws]
+        worst = min(score_prepared(model, prepared, readout).tolist())
         adv_scores[overhead] = worst
         evaded[overhead] = bool(detected and worst < 0.5)
     return SampleOutcome(g.graph_id, original, adv_scores, evaded)
@@ -278,7 +350,11 @@ def attack_sweep(
     if cfg.overheads and reference_overhead not in cfg.overheads:
         raise ValueError("reference overhead must be one of the scheduled overheads")
 
-    outcomes = [_attack_one(g, model, vocab, pool, cfg, readout) for g in corpus.records]
+    columns = np.array(  # vocabulary column of each pool index, -1 outside the vocabulary
+        [vocab.column(t, KIND_API) for t in pool.apis] + [vocab.column(t, KIND_STRING) for t in pool.strings],
+        dtype=np.int64,
+    )
+    outcomes = [_attack_one(g, model, vocab, pool, columns, cfg, readout) for g in corpus.records]
 
     n_samples = len(outcomes)
     n_detected = sum(1 for o in outcomes if o.original_score >= 0.5)
@@ -369,6 +445,8 @@ def check_monotonicity(
     score(x + delta) >= score(x) - tolerance; the input gradient is audited on
     each distinct graph as well.  For other models the result is informational.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if len(corpus) == 0:
         raise DataError("monotonicity check needs a non-empty corpus")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3A0]))

@@ -295,6 +295,16 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    cfg_kwargs = {"seed": args.seed, "trials_per_sample": args.trials}
+    if args.overheads is not None:
+        cfg_kwargs["overheads"] = args.overheads
+    if args.modes is not None:
+        cfg_kwargs["modes"] = args.modes
+    try:
+        cfg = AttackConfig(**cfg_kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
     corpus = read_corpus(args.corpus, strict=args.strict)
     malware = [g for g in corpus if g.label == LABEL_MALWARE]
     skipped = len(corpus) - len(malware)
@@ -303,23 +313,18 @@ def _cmd_attack(args) -> int:
     vocab = read_vocabulary(args.vocab)
     model = load_model(args.model, vocab)
     pool = read_benign_pool(args.pool)
-
-    cfg_kwargs = {"seed": args.seed, "trials_per_sample": args.trials}
-    if args.overheads is not None:
-        cfg_kwargs["overheads"] = args.overheads
-    if args.modes is not None:
-        cfg_kwargs["modes"] = args.modes
-    cfg = AttackConfig(**cfg_kwargs)
-
-    report = attack_sweep(
-        model,
-        vocab,
-        Corpus(tuple(malware), dict(corpus.provenance)),
-        pool,
-        cfg,
-        readout=args.readout,
-        reference_overhead=args.reference_overhead,
-    )
+    try:
+        report = attack_sweep(
+            model,
+            vocab,
+            Corpus(tuple(malware), dict(corpus.provenance)),
+            pool,
+            cfg,
+            readout=args.readout,
+            reference_overhead=args.reference_overhead,
+        )
+    except ValueError as exc:  # attack_sweep checks its arguments before it attacks anything
+        raise UsageError(str(exc)) from exc
     meta = {
         "tool_version": __version__,
         "seed": args.seed,
@@ -340,6 +345,8 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_check_monotone(args) -> int:
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
     corpus = read_corpus(args.corpus, strict=args.strict)
     vocab = read_vocabulary(args.vocab)
     model = load_model(args.model, vocab)

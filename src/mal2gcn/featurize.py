@@ -73,6 +73,13 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.api_tokens) + len(self.string_tokens)
 
+    def column(self, token: str, kind: str) -> int:
+        """Feature column of a normalized token, or -1 when it is not in the vocabulary."""
+        if kind == KIND_API:
+            return self._api_index.get(token, -1)
+        idx = self._string_index.get(token)
+        return -1 if idx is None else len(self.api_tokens) + idx
+
     @property
     def api_shortfall(self) -> int:
         return self.k_api - len(self.api_tokens)

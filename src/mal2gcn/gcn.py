@@ -48,9 +48,12 @@ def build_normalized_adjacency(g: Fcg) -> NormalizedAdjacency:
     Degrees are >= 1 thanks to the self-loop, so no division by zero.
     """
     index = {node.id: i for i, node in enumerate(g.nodes)}
-    n = len(g.nodes)
     ends = np.fromiter((index[v] for edge in g.edges for v in edge), np.int64, 2 * len(g.edges))
-    i, j = ends.reshape(-1, 2).T
+    return normalized_adjacency(len(g.nodes), ends[0::2], ends[1::2])
+
+
+def normalized_adjacency(n: int, i: np.ndarray, j: np.ndarray) -> NormalizedAdjacency:
+    """The normalized adjacency of n nodes and the edges i[k] - j[k], given as node index arrays."""
     # row-major keys of every stored entry: the sorted unique keys are the CSR order,
     # and a self-edge's key is the diagonal's, so it adds nothing
     keys = np.unique(np.concatenate([i * n + j, j * n + i, np.arange(n) * (n + 1)]))

@@ -374,6 +374,43 @@ class TestExitCodes:
              "--model", str(model), "--out", str(tmp_path / "m.txt"), "--threads", "2"]
         ) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--overheads", "nan"], "overheads must be numbers from 0 to 10000"),
+            (["--overheads", "0,inf"], "overheads must be numbers from 0 to 10000"),
+            (["--overheads", "1e300"], "overheads must be numbers from 0 to 10000"),
+            (["--overheads", "50,50"], "overheads must be strictly ascending"),
+            (["--trials", "0"], "trials_per_sample must be >= 1"),
+            (["--modes", "bogus"], "modes must be a non-empty subset"),
+            (["--overheads", "0,50", "--reference-overhead", "7"], "reference overhead must be one of the scheduled"),
+        ],
+        ids=["nan", "inf", "1e300", "duplicate", "trials0", "bogus-mode", "reference-not-scheduled"],
+    )
+    def test_bad_attack_arguments_are_usage_errors(self, workspace, tmp_path, capsys, flags, message):
+        _, corpus, vocab, model = workspace
+        out = tmp_path / "attack.tsv"
+        code = run(
+            ["attack", "--corpus", str(corpus) + ".test", "--vocab", str(vocab), "--model", str(model),
+             "--pool", str(corpus) + ".pool", "--out", str(out), *flags]
+        )
+        assert code == EXIT_USAGE
+        errors = [line for line in capsys.readouterr().err.splitlines() if "skipping" not in line]
+        assert len(errors) == 1 and errors[0].startswith("mal2gcn: usage error: ") and message in errors[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_check_monotone_without_trials_is_usage_error(self, workspace, capsys, trials):
+        _, corpus, vocab, model = workspace
+        code = run(
+            ["check-monotone", "--corpus", str(corpus) + ".test", "--vocab", str(vocab),
+             "--model", str(model), "--trials", trials]
+        )
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "mal2gcn: usage error: --trials must be at least 1\n"
+
     def test_help_and_version_exit_zero(self, capsys):
         assert run(["--help"]) == EXIT_OK
         assert run(["--version"]) == EXIT_OK
