@@ -3,7 +3,10 @@
 A graph gets one bag-of-words count vector per function (API names plus
 referenced strings), passes through a two-layer graph convolution with a
 mean/sum/max readout and a small feed-forward head, and comes out as a
-malware probability.  Training can project the weight matrices onto the
+malware probability.  The readout is chosen at training and is part of the
+model (``ModelParams.readout``, saved in the model file), so every scoring,
+attack and audit uses the readout the model was trained with.  Training can
+project the weight matrices onto the
 non-negative orthant, which makes the scorer monotone non-decreasing in
 every input count: attacks that only add tokens cannot lower the score.
 """

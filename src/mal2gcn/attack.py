@@ -298,7 +298,7 @@ def _prepare_attacked(
     return prepare_graph(adj, attacked)
 
 
-def _attack_one(g, model, vocab, pool, columns, cfg: AttackConfig, readout: str) -> SampleOutcome:
+def _attack_one(g, model, vocab, pool, columns, cfg: AttackConfig) -> SampleOutcome:
     """Score a sample at every overhead from one preparation and one draw per trial.
 
     The sample is normalized, its adjacency built and its tokens counted
@@ -310,7 +310,7 @@ def _attack_one(g, model, vocab, pool, columns, cfg: AttackConfig, readout: str)
     g = normalize_fcg(g)  # attack the graph as it is scored
     adj = build_normalized_adjacency(g)
     counts = embed_graph(g, vocab).counts
-    original = float(score_prepared(model, [prepare_graph(adj, counts)], readout)[0])
+    original = float(score_prepared(model, [prepare_graph(adj, counts)])[0])
     detected = original >= 0.5
     n_tokens = g.total_token_count
     largest = _budget(n_tokens, cfg.overheads[-1]) if cfg.overheads else 0
@@ -321,7 +321,7 @@ def _attack_one(g, model, vocab, pool, columns, cfg: AttackConfig, readout: str)
     for overhead in cfg.overheads:
         budget = _budget(n_tokens, overhead)
         prepared = [_prepare_attacked(adj, counts, columns, draw.prefix(budget, cfg.modes)) for draw in draws]
-        worst = min(score_prepared(model, prepared, readout).tolist())
+        worst = min(score_prepared(model, prepared).tolist())
         adv_scores[overhead] = worst
         evaded[overhead] = bool(detected and worst < 0.5)
     return SampleOutcome(g.graph_id, original, adv_scores, evaded)
@@ -333,7 +333,6 @@ def attack_sweep(
     corpus: Corpus,
     pool: BenignPool,
     cfg: AttackConfig,
-    readout: str = "avg",
     reference_overhead: float | None = None,
 ) -> AttackReport:
     """Attack every malware sample at every overhead and aggregate the outcome curve.
@@ -354,7 +353,7 @@ def attack_sweep(
         [vocab.column(t, KIND_API) for t in pool.apis] + [vocab.column(t, KIND_STRING) for t in pool.strings],
         dtype=np.int64,
     )
-    outcomes = [_attack_one(g, model, vocab, pool, columns, cfg, readout) for g in corpus.records]
+    outcomes = [_attack_one(g, model, vocab, pool, columns, cfg) for g in corpus.records]
 
     n_samples = len(outcomes)
     n_detected = sum(1 for o in outcomes if o.original_score >= 0.5)
@@ -436,7 +435,6 @@ def check_monotonicity(
     corpus: Corpus,
     trials: int = 1000,
     seed: int = 0,
-    readout: str = "avg",
     tolerance: float = 1e-9,
 ) -> MonotonicityReport:
     """Score random non-negative integer feature additions on corpus graphs.
@@ -461,8 +459,8 @@ def check_monotonicity(
         g = graphs[gi]
         if gi not in cached:
             pg = prepare_fcg(g, vocab)
-            base, _ = forward(model, pg, readout)
-            min_grad = min(min_grad, float(input_gradient(model, pg, readout).min()))
+            base, _ = forward(model, pg)
+            min_grad = min(min_grad, float(input_gradient(model, pg).min()))
             cached[gi] = (pg, base)
         pg, base = cached[gi]
 
@@ -474,7 +472,7 @@ def check_monotonicity(
         delta = sparse.csr_matrix((amounts.astype(np.float64), (rows, cols)), shape=pg.ax.shape)
 
         # A(X + delta) = AX + A delta, so the graph is prepared once
-        after, _ = forward(model, replace(pg, ax=pg.ax + pg.adj @ delta), readout)
+        after, _ = forward(model, replace(pg, ax=pg.ax + pg.adj @ delta))
         drop = base - after
         if drop > tolerance:
             violations.append(MonotonicityViolation(g.graph_id, trial, base, after))

@@ -6,6 +6,7 @@ Exit codes are a stable contract: 0 success, 1 usage error, 2 data error,
 """
 
 import argparse
+import dataclasses
 import hashlib
 import logging
 import sys
@@ -22,7 +23,7 @@ from .attack import (
 )
 from .fcg import Corpus, DataError, LABEL_MALWARE, normalize_fcg, read_corpus, write_corpus
 from .featurize import build_vocabulary, embed_graph, read_vocabulary, write_vocabulary
-from .gcn import GCLF_WEIGHTS, GCN_WEIGHTS, load_model, save_model, score_graphs
+from .gcn import GCLF_WEIGHTS, GCN_WEIGHTS, READOUTS, load_model, save_model, score_graphs
 from .metrics import compute_metrics, roc_csv_lines, write_metrics_report
 from .synth import SynthConfig, derive_benign_pool, generate_corpus, split_corpus, write_manifest
 from .train import AdvTrainConfig, TrainConfig, train, write_train_report
@@ -51,6 +52,15 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
+
+
+def _parse_seed(text: str) -> int:
+    try:
+        if (seed := int(text)) >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
 def _parse_csv_floats(text: str):
@@ -100,7 +110,7 @@ def _build_parser() -> _Parser:
 
     def common(p, *, seed=True, strict=True):
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_parse_seed, default=0)
         if strict:
             p.add_argument("--strict", action="store_true", help="reject unknown interchange fields")
 
@@ -138,7 +148,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--lr", type=float, default=0.008)
-    p.add_argument("--readout", choices=("avg", "sum", "max"), default="avg")
+    p.add_argument("--readout", choices=READOUTS, default="avg", help="stored in the model file")
     p.add_argument("--h1", type=int, default=500)
     p.add_argument("--h2", type=int, default=250)
     p.add_argument("--hg", type=int, default=64)
@@ -151,7 +161,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--roc-out", default=None, help="optional standalone ROC CSV")
-    p.add_argument("--readout", choices=("avg", "sum", "max"), default="avg")
 
     p = sub.add_parser("attack", help="run the overhead sweep against malware samples")
     common(p)
@@ -163,7 +172,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--overheads", type=_parse_csv_floats, default=None)
     p.add_argument("--modes", type=_parse_csv_names, default=None)
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--readout", choices=("avg", "sum", "max"), default="avg")
     p.add_argument("--reference-overhead", type=float, default=None)
 
     p = sub.add_parser("check-monotone", help="audit monotonicity on a corpus")
@@ -172,7 +180,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--readout", choices=("avg", "sum", "max"), default="avg")
 
     p = sub.add_parser("inspect", help="pretty-print a graph and its embedding footprint")
     common(p, seed=False)
@@ -184,13 +191,16 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen_corpus(args) -> int:
-    cfg = SynthConfig(
-        n_benign=args.n_benign,
-        n_malware=args.n_malware,
-        node_count_min=args.node_min,
-        node_count_max=args.node_max,
-        seed=args.seed,
-    )
+    try:
+        cfg = SynthConfig(
+            n_benign=args.n_benign,
+            n_malware=args.n_malware,
+            node_count_min=args.node_min,
+            node_count_max=args.node_max,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     corpus, pool = generate_corpus(cfg)
     write_corpus(corpus, args.out)
     pool_path = args.pool_out or f"{args.out}.pool"
@@ -211,6 +221,8 @@ def _split_names(count: int):
 
 
 def _cmd_build_vocab(args) -> int:
+    if min(args.k_api, args.k_str, args.prefilter) < 1:
+        raise UsageError("--k-api, --k-str and --prefilter must be at least 1")
     corpus = read_corpus(args.corpus, strict=args.strict)
     vocab = build_vocabulary(corpus, k_api=args.k_api, k_str=args.k_str, prefilter_per_kind=args.prefilter)
     write_vocabulary(vocab, args.out)
@@ -222,33 +234,35 @@ def _cmd_build_vocab(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    try:
+        cfg = TrainConfig(
+            learning_rate=args.lr,
+            batch_size=args.batch,
+            patience=args.patience,
+            max_epochs=args.epochs,
+            h1=args.h1,
+            h2=args.h2,
+            hg=args.hg,
+            readout=args.readout,
+            seed=args.seed,
+            nonneg_gcn=args.nonneg_gcn,
+            nonneg_gclf=args.nonneg_gclf,
+            projection_cadence=args.projection,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     train_corpus = read_corpus(args.corpus, strict=args.strict)
     val_corpus = read_corpus(args.val, strict=args.strict)
     vocab = read_vocabulary(args.vocab)
 
-    adversarial = None
     if args.adv_train > 0:
         if args.pool:
             pool = read_benign_pool(args.pool)
         else:
             pool = derive_benign_pool(train_corpus)
         adversarial = AdvTrainConfig(count=args.adv_train, pool=pool, attack=AttackConfig(seed=args.seed))
+        cfg = dataclasses.replace(cfg, adversarial_training=adversarial)
 
-    cfg = TrainConfig(
-        learning_rate=args.lr,
-        batch_size=args.batch,
-        patience=args.patience,
-        max_epochs=args.epochs,
-        h1=args.h1,
-        h2=args.h2,
-        hg=args.hg,
-        readout=args.readout,
-        seed=args.seed,
-        nonneg_gcn=args.nonneg_gcn,
-        nonneg_gclf=args.nonneg_gclf,
-        adversarial_training=adversarial,
-        projection_cadence=args.projection,
-    )
     model, report = train(train_corpus, val_corpus, vocab, cfg)
     save_model(model, args.model, vocab)
     if args.out:
@@ -275,7 +289,7 @@ def _cmd_eval(args) -> int:
     for g in corpus:
         if g.label is None:
             raise DataError(f"eval corpus: graph {g.graph_id} is unlabeled")
-    scores = score_graphs(model, corpus.records, vocab, args.readout)
+    scores = score_graphs(model, corpus.records, vocab)
     labeled = [(s, 1 if g.label == LABEL_MALWARE else 0) for s, g in zip(scores, corpus.records)]
     report = compute_metrics(labeled)
     meta = {
@@ -283,7 +297,7 @@ def _cmd_eval(args) -> int:
         "corpus_sha256": _file_digest(args.corpus),
         "model_sha256": _file_digest(args.model),
         "vocab_sha256": _file_digest(args.vocab),
-        "readout": args.readout,
+        "readout": model.readout,
     }
     write_metrics_report(report, args.out, meta)
     if args.roc_out:
@@ -320,7 +334,6 @@ def _cmd_attack(args) -> int:
             Corpus(tuple(malware), dict(corpus.provenance)),
             pool,
             cfg,
-            readout=args.readout,
             reference_overhead=args.reference_overhead,
         )
     except ValueError as exc:  # attack_sweep checks its arguments before it attacks anything
@@ -333,7 +346,7 @@ def _cmd_attack(args) -> int:
         "vocab_sha256": _file_digest(args.vocab),
         "pool_sha256": _file_digest(args.pool),
         "modes": ",".join(cfg.modes),
-        "readout": args.readout,
+        "readout": model.readout,
     }
     write_attack_report(report, args.out, meta)
     print(
@@ -358,7 +371,7 @@ def _cmd_check_monotone(args) -> int:
             "certificate: w_gcn1, w_gcn2, w_hidden and w_out are non-negative, so for a fixed call graph the score is "
             "non-decreasing in every token count; adding functions changes the normalization and is not covered"
         )
-    report = check_monotonicity(model, vocab, corpus, trials=args.trials, seed=args.seed, readout=args.readout)
+    report = check_monotonicity(model, vocab, corpus, trials=args.trials, seed=args.seed)
     status = "informational" if report.informational else "enforced"
     print(
         f"{report.trials} trials, {len(report.violations)} violations ({status}); "

@@ -131,8 +131,8 @@ def build_vocabulary(
     ties broken by higher total frequency then lexicographic order.
     Deterministic and invariant to corpus record order.
     """
-    if k_api < 1 or k_str < 1:
-        raise ValueError("k_api and k_str must be >= 1")
+    if min(k_api, k_str, prefilter_per_kind) < 1:
+        raise ValueError("k_api, k_str and prefilter_per_kind must be >= 1")
     if len(corpus) == 0:
         raise DataError("cannot build a vocabulary from an empty corpus")
 
@@ -299,6 +299,8 @@ def read_vocabulary(path) -> Vocabulary:
         k_api=k_api,
         k_str=k_str,
     )
+    if vocab.size == 0:
+        raise FormatError(f"{path}: vocabulary has no tokens")
     if len(set(vocab.api_tokens)) != len(vocab.api_tokens) or len(set(vocab.string_tokens)) != len(
         vocab.string_tokens
     ):

@@ -1,6 +1,11 @@
 """Two-layer graph-convolution classifier: normalized adjacency, forward pass,
 exact backpropagation, non-negative projection, and model file I/O.
 
+A model carries its whole architecture: its weights give the layer sizes,
+and its projection flags and readout (avg, sum or max over the nodes) are
+fields saved in the model file, so every forward and backward pass reads
+them from the model.
+
 A graph's adjacency, token counts and their product are CSR matrices built
 from index arrays, so its memory grows with nodes + edges, not nodes squared;
 weights and activations are dense float64.  The convolution layers carry no
@@ -65,7 +70,7 @@ def normalized_adjacency(n: int, i: np.ndarray, j: np.ndarray) -> NormalizedAdja
 
 @dataclass
 class ModelParams:
-    """All weights of the convolution stack and classifier head, plus projection flags."""
+    """All weights of the convolution stack and classifier head, the projection flags and the readout."""
 
     w_gcn1: np.ndarray  # (d, h1)
     w_gcn2: np.ndarray  # (h1, h2)
@@ -75,6 +80,11 @@ class ModelParams:
     b_out: np.ndarray  # (1,)
     nonneg_gcn: bool = False
     nonneg_gclf: bool = False
+    readout: str = "avg"  # one of READOUTS
+
+    def __post_init__(self):
+        if self.readout not in READOUTS:
+            raise ValueError(f"unknown readout {self.readout!r}; expected one of {', '.join(READOUTS)}")
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -92,15 +102,18 @@ class ModelParams:
         return tuple(names)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            **{name: value.copy() for name, value in self.weights().items()},
-            nonneg_gcn=self.nonneg_gcn,
-            nonneg_gclf=self.nonneg_gclf,
-        )
+        return replace(self, **{name: value.copy() for name, value in self.weights().items()})
 
 
 def init_params(
-    d: int, h1: int, h2: int, hg: int, nonneg_gcn: bool, nonneg_gclf: bool, rng: np.random.Generator
+    d: int,
+    h1: int,
+    h2: int,
+    hg: int,
+    nonneg_gcn: bool,
+    nonneg_gclf: bool,
+    rng: np.random.Generator,
+    readout: str = "avg",
 ) -> ModelParams:
     """Uniform [-a, a] init with a = sqrt(6/(fan_in+fan_out)); zero biases.
 
@@ -121,6 +134,7 @@ def init_params(
         b_out=np.zeros(1),
         nonneg_gcn=nonneg_gcn,
         nonneg_gclf=nonneg_gclf,
+        readout=readout,
     )
     return project_nonnegative(params) if (nonneg_gcn or nonneg_gclf) else params
 
@@ -164,7 +178,6 @@ class _BatchCache:
     prepared: list
     sizes: np.ndarray  # (B,) node counts
     offsets: np.ndarray  # (B+1,) row offsets into the stacked node arrays
-    readout: str
     ax_stack: sparse.csr_matrix  # (N, d) vertically stacked adjacency @ features
     adj_block: sparse.csr_matrix  # (N, N) block-diagonal normalized adjacency
     z1: np.ndarray  # (N, h1) pre-activation of conv layer 1
@@ -179,9 +192,7 @@ class _BatchCache:
     p: np.ndarray  # (B,)
 
 
-def _forward_batch(m: ModelParams, prepared: list, readout: str) -> _BatchCache:
-    if readout not in READOUTS:
-        raise ValueError(f"unknown readout {readout!r}")
+def _forward_batch(m: ModelParams, prepared: list) -> _BatchCache:
     d = m.w_gcn1.shape[0]
     for pg in prepared:
         if pg.ax.shape[1] != d:
@@ -203,9 +214,9 @@ def _forward_batch(m: ModelParams, prepared: list, readout: str) -> _BatchCache:
     h2 = np.maximum(z2, 0.0)
 
     starts = offsets[:-1]
-    if readout == "avg":
+    if m.readout == "avg":
         g = np.add.reduceat(h2, starts, axis=0) / sizes[:, None]
-    elif readout == "sum":
+    elif m.readout == "sum":
         g = np.add.reduceat(h2, starts, axis=0)
     else:
         g = np.maximum.reduceat(h2, starts, axis=0)
@@ -214,9 +225,7 @@ def _forward_batch(m: ModelParams, prepared: list, readout: str) -> _BatchCache:
     hh = np.maximum(z3, 0.0)
     z4 = hh @ m.w_out + m.b_out[0]
     p = expit(z4)
-    return _BatchCache(
-        prepared, sizes, offsets, readout, ax_stack, adj_block, z1, h1, m2, z2, h2, g, z3, hh, z4, p
-    )
+    return _BatchCache(prepared, sizes, offsets, ax_stack, adj_block, z1, h1, m2, z2, h2, g, z3, hh, z4, p)
 
 
 def _backward_batch(m: ModelParams, cache: _BatchCache, dz4: np.ndarray, need_input_grads: bool = False):
@@ -235,9 +244,9 @@ def _backward_batch(m: ModelParams, cache: _BatchCache, dz4: np.ndarray, need_in
     d_b_hidden = d_z3.sum(axis=0)
     d_g = d_z3 @ m.w_hidden.T
 
-    if cache.readout == "avg":
+    if m.readout == "avg":
         d_h2 = np.repeat(d_g / cache.sizes[:, None], cache.sizes, axis=0)
-    elif cache.readout == "sum":
+    elif m.readout == "sum":
         d_h2 = np.repeat(d_g, cache.sizes, axis=0)
     else:
         # subgradient at the (first) argmax row of each column
@@ -273,15 +282,15 @@ def _backward_batch(m: ModelParams, cache: _BatchCache, dz4: np.ndarray, need_in
     return grads, input_grads
 
 
-def forward(m: ModelParams, pg: PreparedGraph, readout: str = "avg"):
+def forward(m: ModelParams, pg: PreparedGraph):
     """Score one prepared graph; returns (malware probability, cache for backprop)."""
-    cache = _forward_batch(m, [pg], readout)
+    cache = _forward_batch(m, [pg])
     return float(cache.p[0]), cache
 
 
-def batch_loss_and_gradients(m: ModelParams, prepared: list, labels: np.ndarray, readout: str):
+def batch_loss_and_gradients(m: ModelParams, prepared: list, labels: np.ndarray):
     """Mean clamped cross-entropy and its exact parameter gradients over prepared graphs."""
-    cache = _forward_batch(m, prepared, readout)
+    cache = _forward_batch(m, prepared)
     y = np.asarray(labels, dtype=np.float64)
     p_clamped = np.clip(cache.p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     losses = -(y * np.log(p_clamped) + (1.0 - y) * np.log(1.0 - p_clamped))
@@ -293,31 +302,31 @@ def batch_loss_and_gradients(m: ModelParams, prepared: list, labels: np.ndarray,
     return loss, grads, cache
 
 
-def input_gradient(m: ModelParams, pg: PreparedGraph, readout: str = "avg") -> np.ndarray:
+def input_gradient(m: ModelParams, pg: PreparedGraph) -> np.ndarray:
     """Exact gradient of the output probability with respect to every feature entry."""
-    cache = _forward_batch(m, [pg], readout)
+    cache = _forward_batch(m, [pg])
     dz4 = cache.p * (1.0 - cache.p)  # d sigmoid / d z4
     _, input_grads = _backward_batch(m, cache, dz4, need_input_grads=True)
     return input_grads[0]
 
 
-def score_prepared(m: ModelParams, prepared: list, readout: str = "avg") -> np.ndarray:
+def score_prepared(m: ModelParams, prepared: list) -> np.ndarray:
     """Malware probabilities for a list of PreparedGraph, one forward pass per graph.
 
     At inference a per-graph forward is faster than one over the stacked
     batch, and it makes a graph's score independent of what it is scored with.
     """
-    return np.array([_forward_batch(m, [pg], readout).p[0] for pg in prepared], dtype=np.float64)
+    return np.array([_forward_batch(m, [pg]).p[0] for pg in prepared], dtype=np.float64)
 
 
-def score_graphs(m: ModelParams, graphs, vocab: Vocabulary, readout: str = "avg") -> np.ndarray:
+def score_graphs(m: ModelParams, graphs, vocab: Vocabulary) -> np.ndarray:
     """Malware probabilities for raw graphs, each normalized, prepared and scored in turn.
 
     Only one prepared graph is alive at a time, so memory does not grow with
     the number of graphs.
     """
     return np.array(
-        [score_prepared(m, [prepare_fcg(normalize_fcg(g), vocab)], readout)[0] for g in graphs], dtype=np.float64
+        [score_prepared(m, [prepare_fcg(normalize_fcg(g), vocab)])[0] for g in graphs], dtype=np.float64
     )
 
 
@@ -331,7 +340,7 @@ def _format_row(row: np.ndarray) -> str:
 
 
 def save_model(m: ModelParams, path, vocab: Vocabulary) -> None:
-    """Write dims, flags, the vocabulary content hash, and all weights losslessly."""
+    """Write dims, flags (projection and readout), the vocabulary content hash, and all weights losslessly."""
     d, h1, h2, hg = m.dims
     matrices = [
         ("w_gcn1", m.w_gcn1),
@@ -344,7 +353,7 @@ def save_model(m: ModelParams, path, vocab: Vocabulary) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{MODEL_HEADER}\n")
         fh.write(f"dims {d} {h1} {h2} {hg}\n")
-        fh.write(f"flags nonneg_gcn={int(m.nonneg_gcn)} nonneg_gclf={int(m.nonneg_gclf)}\n")
+        fh.write(f"flags nonneg_gcn={int(m.nonneg_gcn)} nonneg_gclf={int(m.nonneg_gclf)} readout={m.readout}\n")
         fh.write(f"vocab_sha256 {vocabulary_digest(vocab)}\n")
         for name, matrix in matrices:
             fh.write(f"matrix {name} {matrix.shape[0]} {matrix.shape[1]}\n")
@@ -353,7 +362,11 @@ def save_model(m: ModelParams, path, vocab: Vocabulary) -> None:
 
 
 def load_model(path, vocab: Vocabulary) -> ModelParams:
-    """Read a model file, verifying structure, the vocabulary hash, finite weights and the flags."""
+    """Read a model file, verifying structure, the vocabulary hash, finite weights and the flags.
+
+    A flags line without readout= is from before the readout was saved, when
+    every command scored with avg by default, so it loads as avg.
+    """
     lines = read_lines(path)
 
     def fail(msg):
@@ -368,6 +381,7 @@ def load_model(path, vocab: Vocabulary) -> ModelParams:
         flag_parts = dict(part.split("=", 1) for part in lines[2].split()[1:])
         nonneg_gcn = bool(int(flag_parts["nonneg_gcn"]))
         nonneg_gclf = bool(int(flag_parts["nonneg_gclf"]))
+        readout = flag_parts.get("readout", "avg")
         hash_parts = lines[3].split()
         assert hash_parts[0] == "vocab_sha256" and len(hash_parts) == 2
         stored_hash = hash_parts[1]
@@ -425,16 +439,20 @@ def load_model(path, vocab: Vocabulary) -> ModelParams:
     if pos != len(lines):
         fail("trailing content after final matrix")
 
-    params = ModelParams(
-        w_gcn1=matrices["w_gcn1"],
-        w_gcn2=matrices["w_gcn2"],
-        w_hidden=matrices["w_hidden"],
-        b_hidden=matrices["b_hidden"][0],
-        w_out=matrices["w_out"][:, 0],
-        b_out=matrices["b_out"][0],
-        nonneg_gcn=nonneg_gcn,
-        nonneg_gclf=nonneg_gclf,
-    )
+    try:
+        params = ModelParams(
+            w_gcn1=matrices["w_gcn1"],
+            w_gcn2=matrices["w_gcn2"],
+            w_hidden=matrices["w_hidden"],
+            b_hidden=matrices["b_hidden"][0],
+            w_out=matrices["w_out"][:, 0],
+            b_out=matrices["b_out"][0],
+            nonneg_gcn=nonneg_gcn,
+            nonneg_gclf=nonneg_gclf,
+            readout=readout,
+        )
+    except ValueError as exc:  # the readout
+        fail(str(exc))
     for name in params.governed_names():
         if (getattr(params, name) < 0.0).any():
             fail(f"{name} has negative entries, but the flags say it is non-negative")

@@ -141,8 +141,8 @@ def _prepare_labeled(records, vocab: Vocabulary):
     return prepared, labels
 
 
-def _eval_split(params: ModelParams, prepared, labels, readout: str):
-    scores = score_prepared(params, prepared, readout)
+def _eval_split(params: ModelParams, prepared, labels):
+    scores = score_prepared(params, prepared)
     p = np.clip(scores, PROB_CLAMP, 1.0 - PROB_CLAMP)
     loss = float(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)).mean())
     acc = float(((scores >= 0.5).astype(np.float64) == labels).mean())
@@ -178,7 +178,7 @@ def train(
     val_prepared, val_labels = _prepare_labeled(val_corpus.records, vocab)
 
     d = vocab.size
-    params = init_params(d, cfg.h1, cfg.h2, cfg.hg, cfg.nonneg_gcn, cfg.nonneg_gclf, rng)
+    params = init_params(d, cfg.h1, cfg.h2, cfg.hg, cfg.nonneg_gcn, cfg.nonneg_gclf, rng, cfg.readout)
     adam = _Adam({k: v.shape for k, v in params.weights().items()}, lr=cfg.learning_rate)
     stopper = EarlyStopper(cfg.patience)
 
@@ -194,7 +194,7 @@ def train(
             idx = order[start : start + cfg.batch_size]
             batch = [train_prepared[i] for i in idx]
             labels = train_labels[idx]
-            loss, grads, cache = batch_loss_and_gradients(params, batch, labels, cfg.readout)
+            loss, grads, cache = batch_loss_and_gradients(params, batch, labels)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}")
             adam.step(params, grads)
@@ -206,7 +206,7 @@ def train(
         if cfg.projection_cadence == "per_epoch":
             params = project_nonnegative(params)
 
-        val_loss, val_acc = _eval_split(params, val_prepared, val_labels, cfg.readout)
+        val_loss, val_acc = _eval_split(params, val_prepared, val_labels)
         if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
         epochs.append(

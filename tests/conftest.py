@@ -162,8 +162,8 @@ def adjacency_from_dense(a):
     return NormalizedAdjacency(a.shape[0], values=m.data, indices=m.indices, indptr=m.indptr)
 
 
-def fd_param_grads(m, prepared, labels, readout, step=1e-4):
-    """Central finite differences of the batch loss for every parameter entry."""
+def fd_param_grads(m, prepared, labels, step=1e-4):
+    """Central finite differences of the batch loss for every parameter entry, under m.readout."""
     from mal2gcn.gcn import batch_loss_and_gradients
 
     grads = {}
@@ -174,9 +174,9 @@ def fd_param_grads(m, prepared, labels, readout, step=1e-4):
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + step
-            up = batch_loss_and_gradients(m, prepared, labels, readout)[0]
+            up = batch_loss_and_gradients(m, prepared, labels)[0]
             flat[k] = orig - step
-            down = batch_loss_and_gradients(m, prepared, labels, readout)[0]
+            down = batch_loss_and_gradients(m, prepared, labels)[0]
             flat[k] = orig
             gflat[k] = (up - down) / (2 * step)
         grads[name] = g
@@ -188,7 +188,9 @@ def rel_err(a, b, floor=1e-8):
 
 
 def make_safe_instance(seed, readout):
-    """Random small instance with activations away from relu kinks and argmax ties."""
+    """Random small instance with activations away from relu kinks and argmax ties; the model has `readout`."""
+    from dataclasses import replace
+
     from mal2gcn.gcn import build_normalized_adjacency, forward, prepare_graph
 
     rng = np.random.default_rng(seed)
@@ -196,7 +198,7 @@ def make_safe_instance(seed, readout):
         n = int(rng.integers(1, 6))
         d = int(rng.integers(1, 7))
         h1, h2, hg = (int(rng.integers(1, 5)) for _ in range(3))
-        m = random_params(rng, d, h1, h2, hg, scale=0.8)
+        m = replace(random_params(rng, d, h1, h2, hg, scale=0.8), readout=readout)
         ids = [f"n{i}" for i in range(n)]
         edges = []
         for _ in range(int(rng.integers(0, n + 2))):
@@ -207,14 +209,14 @@ def make_safe_instance(seed, readout):
         adj = build_normalized_adjacency(g)
         x = rng.integers(0, 5, size=(n, d)).astype(float)
         y = int(rng.integers(2))
-        _, cache = forward(m, prepare_graph(adj, x), readout)
+        _, cache = forward(m, prepare_graph(adj, x))
         margin = min(
             np.abs(cache.z1).min(initial=1.0),
             np.abs(cache.z2).min(initial=1.0),
             np.abs(cache.z3).min(initial=1.0),
         )
         tie_gap = 1.0
-        if readout == "max" and n > 1:
+        if m.readout == "max" and n > 1:
             top2 = np.sort(cache.h2, axis=0)[-2:]
             tie_gap = float((top2[1] - top2[0]).min(initial=1.0))
         if margin > 1e-2 and tie_gap > 1e-2 and 1e-5 < cache.p[0] < 1 - 1e-5:

@@ -12,6 +12,7 @@ run inside its stated runtime budget on a small machine.
 
 import hashlib
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -106,11 +107,12 @@ def test_c1_monotonicity_randomized_trials():
         np.add.at(delta, (rows, cols), rng.integers(1, 4, size=edits))
         pg_after = prepare_graph(adj, x + delta)
         for readout in ("avg", "sum", "max"):
-            before, _ = forward(model, pg, readout)
-            after, _ = forward(model, pg_after, readout)
+            model = replace(model, readout=readout)
+            before, _ = forward(model, pg)
+            after, _ = forward(model, pg_after)
             if after < before - 1e-9:
                 violations += 1
-            min_gradient = min(min_gradient, float(input_gradient(model, pg, readout).min()))
+            min_gradient = min(min_gradient, float(input_gradient(model, pg).min()))
     elapsed = time.perf_counter() - start
 
     ok = violations == 0 and min_gradient >= -1e-12 and elapsed < 60
@@ -179,19 +181,19 @@ def test_c5_gradient_correctness():
         readout = ("avg", "sum", "max")[i % 3]
         model, adj, x, y = make_safe_instance(31_000 + i, readout)
         prepared, labels = [prepare_graph(adj, x)], [y]
-        _, analytic, _ = batch_loss_and_gradients(model, prepared, labels, readout)
-        numeric = fd_param_grads(model, prepared, labels, readout)
+        _, analytic, _ = batch_loss_and_gradients(model, prepared, labels)
+        numeric = fd_param_grads(model, prepared, labels)
         for name in analytic:
             worst = max(worst, float(rel_err(analytic[name], numeric[name]).max()))
 
-        grad = input_gradient(model, prepared[0], readout)
+        grad = input_gradient(model, prepared[0])
         step = 1e-4
         for r in range(x.shape[0]):
             for c in range(x.shape[1]):
                 x[r, c] += step
-                up, _ = forward(model, prepare_graph(adj, x), readout)
+                up, _ = forward(model, prepare_graph(adj, x))
                 x[r, c] -= 2 * step
-                down, _ = forward(model, prepare_graph(adj, x), readout)
+                down, _ = forward(model, prepare_graph(adj, x))
                 x[r, c] += step
                 fd = (up - down) / (2 * step)
                 worst = max(worst, float(rel_err(np.array(grad[r, c]), np.array(fd)).max()))

@@ -151,8 +151,9 @@ PERTURBATION_DIGESTS = {
 }
 # sha256 of repr(generate_training_adversaries(...)) in test_training_adversaries_are_pinned, same origin
 ADVERSARIES_DIGEST = "7c3383fdb8bea6fe9c30dfcb2c4a657301fa0e663eaa54719f9f4561e45b66b3"
-# sha256 of the attack report of acceptance c8's workspace, same origin
-C8_ATTACK_REPORT_DIGEST = "38940e4dabbade3edd6303d48fbf2c836b824ecb27aeb93dc6134b8ea5cdb83a"
+# sha256 of the attack report of acceptance c8's workspace: scores from the same per-token draws, and
+# the model_sha256 of a model file whose flags line ends in readout=avg
+C8_ATTACK_REPORT_DIGEST = "21ad8c953f1081e57f41fedd7ac0f8a53e126b9ac84702ac91f9b2472667e061"
 
 
 def sha256_of_repr(value):
@@ -346,15 +347,15 @@ class TestAttackSweep:
     @pytest.mark.parametrize("variant", ["nonneg", "plain"])
     def test_sweep_equals_scoring_each_perturbed_graph(self, trained_setup, variant, mode_set, readout, trials):
         vocab, pool, nonneg, plain, malware = trained_setup
-        model = nonneg if variant == "nonneg" else plain
+        model = dataclasses.replace(nonneg if variant == "nonneg" else plain, readout=readout)
         graphs = malware.records + (with_dead_node_names(malware.records[0]),)
         cfg = AttackConfig(
             overheads=(0.0, 5.0, 50.0, 200.0), modes=MODE_SETS[mode_set], seed=29, trials_per_sample=trials
         )
-        report = attack_sweep(model, vocab, Corpus(graphs), pool, cfg, readout=readout)
+        report = attack_sweep(model, vocab, Corpus(graphs), pool, cfg)
         for g, outcome in zip(graphs, report.samples):
             g = normalize_fcg(g)
-            assert outcome.original_score == score_graphs(model, [g], vocab, readout)[0]
+            assert outcome.original_score == score_graphs(model, [g], vocab)[0]
             for overhead in cfg.overheads:
                 perturbed = [
                     apply_perturbation(
@@ -362,7 +363,7 @@ class TestAttackSweep:
                     )
                     for trial in range(trials)
                 ]
-                assert outcome.adv_scores[overhead] == min(score_graphs(model, perturbed, vocab, readout))
+                assert outcome.adv_scores[overhead] == min(score_graphs(model, perturbed, vocab))
 
     def test_dead_node_ids_avoid_existing_names(self, trained_setup):
         _, pool, _, _, malware = trained_setup
@@ -461,8 +462,8 @@ class TestCheckMonotonicity:
     def test_perturbed_score_equals_forward_on_edited_features(self, trained_setup, readout):
         # replays the audit's draws; the hostile model makes every trial's score visible
         vocab, _, _, _, malware = trained_setup
-        hostile = hostile_model(vocab.size)
-        report = check_monotonicity(hostile, vocab, malware, trials=60, seed=13, readout=readout)
+        hostile = dataclasses.replace(hostile_model(vocab.size), readout=readout)
+        report = check_monotonicity(hostile, vocab, malware, trials=60, seed=13)
         seen = {v.trial: v for v in report.violations}
         assert len(seen) > 40
         graphs = [normalize_fcg(g) for g in malware.records]
@@ -477,7 +478,7 @@ class TestCheckMonotonicity:
             np.add.at(delta, (rows, cols), rng.integers(1, 4, size=n_edits))
             if trial in seen:
                 assert seen[trial].graph_id == g.graph_id
-                expected, _ = forward(hostile, prepare_graph(build_normalized_adjacency(g), x + delta), readout)
+                expected, _ = forward(hostile, prepare_graph(build_normalized_adjacency(g), x + delta))
                 assert abs(seen[trial].score_after - expected) <= 1e-12
 
 

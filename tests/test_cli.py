@@ -1,18 +1,31 @@
 import hashlib
 import json
+import shlex
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mal2gcn.cli import EXIT_CHECK_FAILED, EXIT_DATA, EXIT_OK, EXIT_USAGE, run
+from mal2gcn.attack import AttackConfig, attack_sweep, check_monotonicity, read_benign_pool, write_attack_report
+from mal2gcn.cli import _COMMANDS, EXIT_CHECK_FAILED, EXIT_DATA, EXIT_OK, EXIT_USAGE, _build_parser, run
+from mal2gcn.fcg import Corpus, LABEL_MALWARE, read_corpus
 from mal2gcn.featurize import Vocabulary, read_vocabulary, write_vocabulary
-from mal2gcn.gcn import load_model, save_model
+from mal2gcn.gcn import load_model, save_model, score_graphs
+from mal2gcn.metrics import compute_metrics, write_metrics_report
 
 from conftest import hostile_model
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def report_body(path):
+    """A report's lines without its `# key=value` meta lines."""
+    return [line for line in path.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
 
 
 def edited_model(model, tmp_path, name, edit):
@@ -192,6 +205,73 @@ class TestPipeline:
         assert digest(a) == digest(b)
 
 
+class TestReadoutTravelsWithModel:
+    @pytest.mark.parametrize("readout", ["max", "sum"])
+    def test_eval_attack_and_audit_score_with_the_stored_readout(self, workspace, tmp_path, capsys, readout):
+        _, corpus, vocab, _ = workspace
+        test_path, pool_path = f"{corpus}.test", f"{corpus}.pool"
+        model_path = tmp_path / "model.txt"
+        assert run(
+            ["train", "--corpus", f"{corpus}.train", "--val", f"{corpus}.val", "--vocab", str(vocab),
+             "--model", str(model_path), "--seed", "3", "--epochs", "2", "--h1", "16", "--h2", "8", "--hg", "4",
+             "--readout", readout]
+        ) == EXIT_OK
+        v = read_vocabulary(vocab)
+        model = load_model(model_path, v)
+        assert model.readout == readout
+        test = read_corpus(test_path)
+        scores = score_graphs(model, test.records, v)
+        # the readout matters: scoring with avg, the old default of every command, gives other scores
+        assert not np.array_equal(scores, score_graphs(replace(model, readout="avg"), test.records, v))
+
+        metrics, expected = tmp_path / "metrics.txt", tmp_path / "expected.txt"
+        assert run(["eval", "--corpus", test_path, "--vocab", str(vocab), "--model", str(model_path),
+                    "--out", str(metrics)]) == EXIT_OK
+        write_metrics_report(compute_metrics([(s, int(g.label == LABEL_MALWARE)) for s, g in zip(scores, test)]), expected)
+        assert report_body(metrics) == report_body(expected)
+        assert f"# readout={readout}" in metrics.read_text(encoding="utf-8").splitlines()
+
+        attack_out = tmp_path / "attack.tsv"
+        assert run(["attack", "--corpus", test_path, "--vocab", str(vocab), "--model", str(model_path),
+                    "--pool", pool_path, "--out", str(attack_out), "--overheads", "0,50,200", "--seed", "3",
+                    "--trials", "2"]) == EXIT_OK
+        malware = Corpus(tuple(g for g in test if g.label == LABEL_MALWARE), dict(test.provenance))
+        cfg = AttackConfig(overheads=(0.0, 50.0, 200.0), seed=3, trials_per_sample=2)
+        write_attack_report(attack_sweep(model, v, malware, read_benign_pool(pool_path), cfg), expected)
+        assert report_body(attack_out) == report_body(expected)
+        assert f"# readout={readout}" in attack_out.read_text(encoding="utf-8").splitlines()
+
+        capsys.readouterr()
+        assert run(["check-monotone", "--corpus", test_path, "--vocab", str(vocab), "--model", str(model_path),
+                    "--trials", "60", "--seed", "4"]) == EXIT_OK
+        audit = check_monotonicity(model, v, test, trials=60, seed=4)
+        assert capsys.readouterr().out.splitlines()[1] == (
+            f"60 trials, {len(audit.violations)} violations (informational); "
+            f"max score drop {audit.max_violation!r}, min input gradient {audit.min_input_gradient!r}"
+        )
+
+    @pytest.mark.parametrize("command", ["eval", "attack", "check-monotone"])
+    def test_readout_option_is_gone(self, workspace, tmp_path, capsys, command):
+        _, corpus, vocab, model = workspace
+        argv = [command, "--corpus", f"{corpus}.test", "--vocab", str(vocab), "--model", str(model)]
+        if command != "check-monotone":
+            argv += ["--out", str(tmp_path / "out.txt")]
+        if command == "attack":
+            argv += ["--pool", f"{corpus}.pool"]
+        assert run(argv + ["--readout", "max"]) == EXIT_USAGE
+        assert "unrecognized arguments: --readout max" in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_unknown_readout_in_model_file_is_data_error(self, workspace, tmp_path, capsys):
+        _, corpus, vocab, model = workspace
+        path = tmp_path / "model.txt"
+        path.write_text(model.read_text(encoding="utf-8").replace(" readout=avg\n", " readout=bogus\n", 1), encoding="utf-8")
+        assert run(["eval", "--corpus", f"{corpus}.test", "--vocab", str(vocab), "--model", str(path),
+                    "--out", str(tmp_path / "metrics.txt")]) == EXIT_DATA
+        assert "unknown readout 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.txt").exists()
+
+
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):
         assert run(["frobnicate"]) == EXIT_USAGE
@@ -208,6 +288,46 @@ class TestExitCodes:
     def test_missing_file_is_data_error(self, capsys):
         assert run(["build-vocab", "--corpus", "/nonexistent/corpus.jsonl", "--out", "/tmp/v"]) == EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-corpus", "--seed", "-1"],
+            ["gen-corpus", "--node-min", "0"],
+            ["gen-corpus", "--n-benign", "-1"],
+            ["build-vocab", "--k-api", "0"],
+            ["build-vocab", "--prefilter", "0"],
+            ["build-vocab", "--prefilter", "-5"],
+            ["train", "--epochs", "0"],
+            ["train", "--lr", "0"],
+            ["train", "--seed", "-1"],
+            ["check-monotone", "--seed", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_arguments_are_usage_errors_before_any_file_is_read(self, tmp_path, capsys, argv):
+        # no input exists, so reading one before checking the arguments would be a data error
+        missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
+        files = {
+            "gen-corpus": ["--out", out],
+            "build-vocab": ["--corpus", missing, "--out", out],
+            "train": ["--corpus", missing, "--val", missing, "--vocab", missing, "--model", out],
+            "check-monotone": ["--corpus", missing, "--vocab", missing, "--model", missing],
+        }
+        assert run(argv + files[argv[0]]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("mal2gcn: usage error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_vocabulary_without_tokens_is_data_error(self, workspace, tmp_path, capsys):
+        _, corpus, _, _ = workspace
+        vocab = tmp_path / "vocab.tsv"
+        vocab.write_text("#mal2gcn-vocab v1 k_api=500 k_str=500\n", encoding="utf-8")
+        code = run(["train", "--corpus", f"{corpus}.train", "--val", f"{corpus}.val", "--vocab", str(vocab),
+                    "--model", str(tmp_path / "m.txt")])
+        assert code == EXIT_DATA
+        assert "vocabulary has no tokens" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
 
     def test_unlabeled_corpus_names_offending_record(self, workspace, tmp_path, capsys):
         root, corpus, vocab, model = workspace
@@ -410,6 +530,13 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "mal2gcn: usage error: --trials must be at least 1\n"
+
+    def test_readme_walkthrough_parses(self):
+        # every `mal2gcn ...` command in README.md, continuation lines joined, parses without running
+        text = (ROOT / "README.md").read_text(encoding="utf-8").replace("\\\n", " ")
+        commands = [shlex.split(line)[1:] for line in text.splitlines() if line.strip().startswith("mal2gcn ")]
+        parser = _build_parser()
+        assert sorted({parser.parse_args(argv).command for argv in commands}) == sorted(_COMMANDS)
 
     def test_help_and_version_exit_zero(self, capsys):
         assert run(["--help"]) == EXIT_OK

@@ -142,6 +142,12 @@ class TestBuildVocabulary:
         assert len(vocab.api_tokens) == 1
         assert vocab.api_tokens == ("tok_filler",)
 
+    @pytest.mark.parametrize("prefilter", [0, -5])
+    def test_prefilter_below_one_rejected(self, prefilter):
+        # 0 selected nothing, and -5 silently dropped the 5 least frequent candidates
+        with pytest.raises(ValueError, match="prefilter_per_kind must be >= 1"):
+            build_vocabulary(presence_corpus(), k_api=3, k_str=1, prefilter_per_kind=prefilter)
+
 
 def small_vocab():
     return Vocabulary(
@@ -239,6 +245,12 @@ class TestVocabularyFile:
         path = tmp_path / "vocab.tsv"
         path.write_text("api\ttok\t1.0\n", encoding="utf-8")
         with pytest.raises(FormatError, match="header"):
+            read_vocabulary(path)
+
+    def test_vocabulary_without_tokens_rejected(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("#mal2gcn-vocab v1 k_api=1 k_str=1\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="no tokens"):
             read_vocabulary(path)
 
     def test_bad_row_rejected(self, tmp_path):

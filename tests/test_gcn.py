@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,8 +196,9 @@ class TestForward:
             adj = build_normalized_adjacency(g)
             x = rng.integers(0, 4, size=(4, 5)).astype(float)
             for readout in ("avg", "sum", "max"):
-                p1, _ = forward(m, prepare_graph(adj, x), readout)
-                p2, _ = forward(m, prepare_graph(adj, 2 * x), readout)
+                m = replace(m, readout=readout)
+                p1, _ = forward(m, prepare_graph(adj, x))
+                p2, _ = forward(m, prepare_graph(adj, 2 * x))
                 assert p2 >= p1
 
     def test_dimension_mismatch_rejected(self, rng):
@@ -209,20 +211,19 @@ class TestForward:
 
     def test_unknown_readout_rejected(self, rng):
         m = random_params(rng, d=2, h1=2, h2=2, hg=2)
-        adj = build_normalized_adjacency(chain_graph(2))
         with pytest.raises(ValueError):
-            forward(m, prepare_graph(adj, np.ones((2, 2))), "median")
+            replace(m, readout="median")
 
     def test_permutation_invariance(self, rng):
         for readout in ("avg", "sum", "max"):
-            m = random_params(rng, d=4, h1=3, h2=3, hg=2)
+            m = replace(random_params(rng, d=4, h1=3, h2=3, hg=2), readout=readout)
             g = chain_graph(5, [("n4", "n1")])
             adj = build_normalized_adjacency(g)
             x = rng.normal(size=(5, 4)) ** 2
-            p, _ = forward(m, prepare_graph(adj, x), readout)
+            p, _ = forward(m, prepare_graph(adj, x))
             perm = rng.permutation(5)
             adj_p = adjacency_from_dense(adjacency_array(adj)[np.ix_(perm, perm)])
-            p2, _ = forward(m, prepare_graph(adj_p, x[perm]), readout)
+            p2, _ = forward(m, prepare_graph(adj_p, x[perm]))
             assert p2 == pytest.approx(p, abs=1e-9)
 
 
@@ -232,15 +233,15 @@ class TestScorePrepared:
         # a graph's score must not depend on the graphs it is scored with
         rng = np.random.default_rng(7)
         d = 64
-        m = random_params(rng, d, 48, 32, 16, scale=0.3)
+        m = replace(random_params(rng, d, 48, 32, 16, scale=0.3), readout=readout)
         prepared = []
         for _ in range(40):
             n = int(rng.integers(2, 30))
             extra = [(f"n{rng.integers(n)}", f"n{rng.integers(n)}") for _ in range(n)]
             adj = build_normalized_adjacency(chain_graph(n, extra))
             prepared.append(prepare_graph(adj, rng.integers(0, 3, size=(n, d))))
-        together = score_prepared(m, prepared, readout)
-        alone = np.array([score_prepared(m, [pg], readout)[0] for pg in prepared])
+        together = score_prepared(m, prepared)
+        alone = np.array([score_prepared(m, [pg])[0] for pg in prepared])
         assert together.tobytes() == alone.tobytes()
 
 
@@ -250,8 +251,8 @@ class TestGradients:
         for seed in range(4):
             m, adj, x, y = make_safe_instance(1000 + seed, readout)
             prepared, labels = [prepare_graph(adj, x)], [y]
-            _, analytic, _ = batch_loss_and_gradients(m, prepared, labels, readout)
-            numeric = fd_param_grads(m, prepared, labels, readout)
+            _, analytic, _ = batch_loss_and_gradients(m, prepared, labels)
+            numeric = fd_param_grads(m, prepared, labels)
             for name in analytic:
                 err = rel_err(analytic[name], numeric[name])
                 assert err.max() < 1e-4, f"{name} mismatch at {readout}: {err.max()}"
@@ -262,8 +263,8 @@ class TestGradients:
         if x2.shape[1] != x1.shape[1]:
             x2 = np.resize(x2, (x2.shape[0], x1.shape[1]))
         prepared, labels = [prepare_graph(adj1, x1), prepare_graph(adj2, x2)], [y1, y2]
-        _, analytic, _ = batch_loss_and_gradients(m, prepared, labels, "avg")
-        numeric = fd_param_grads(m, prepared, labels, "avg")
+        _, analytic, _ = batch_loss_and_gradients(m, prepared, labels)
+        numeric = fd_param_grads(m, prepared, labels)
         for name in analytic:
             assert rel_err(analytic[name], numeric[name]).max() < 1e-4
 
@@ -275,8 +276,8 @@ class TestGradients:
             adj = build_normalized_adjacency(g)
             x = rng.integers(0, 4, size=(adj.n, 4)).astype(float)
             samples.append((prepare_graph(adj, x), int(rng.integers(2))))
-        _, batched, _ = batch_loss_and_gradients(m, [pg for pg, _ in samples], [y for _, y in samples], "avg")
-        singles = [batch_loss_and_gradients(m, [pg], [y], "avg")[1] for pg, y in samples]
+        _, batched, _ = batch_loss_and_gradients(m, [pg for pg, _ in samples], [y for _, y in samples])
+        singles = [batch_loss_and_gradients(m, [pg], [y])[1] for pg, y in samples]
         for name in batched:
             mean = sum(s[name] for s in singles) / len(singles)
             assert np.allclose(batched[name], mean, atol=1e-12)
@@ -287,7 +288,7 @@ class TestGradients:
         m.b_out[:] = 40.0  # p saturates at ~1
         adj = build_normalized_adjacency(chain_graph(2))
         x = np.ones((2, 2))
-        loss, grads, _ = batch_loss_and_gradients(m, [prepare_graph(adj, x)], [1], "avg")
+        loss, grads, _ = batch_loss_and_gradients(m, [prepare_graph(adj, x)], [1])
         assert loss < 1e-6
         for g in grads.values():
             assert np.abs(g).max() < 1e-6
@@ -297,7 +298,7 @@ class TestGradients:
         m.w_out[:] = 0.0
         m.b_out[:] = 0.0
         adj = build_normalized_adjacency(chain_graph(2))
-        loss, _, _ = batch_loss_and_gradients(m, [prepare_graph(adj, np.ones((2, 2)))], [1], "avg")
+        loss, _, _ = batch_loss_and_gradients(m, [prepare_graph(adj, np.ones((2, 2)))], [1])
         assert loss == pytest.approx(np.log(2.0), abs=1e-15)
 
 
@@ -305,25 +306,25 @@ class TestInputGradient:
     def test_matches_finite_differences(self):
         for seed in (5, 6):
             m, adj, x, _ = make_safe_instance(seed, "avg")
-            analytic = input_gradient(m, prepare_graph(adj, x), "avg")
+            analytic = input_gradient(m, prepare_graph(adj, x))
             step = 1e-4
             numeric = np.zeros_like(x)
             for i in range(x.shape[0]):
                 for j in range(x.shape[1]):
                     xp = x.copy()
                     xp[i, j] += step
-                    up, _ = forward(m, prepare_graph(adj, xp), "avg")
+                    up, _ = forward(m, prepare_graph(adj, xp))
                     xp[i, j] -= 2 * step
-                    down, _ = forward(m, prepare_graph(adj, xp), "avg")
+                    down, _ = forward(m, prepare_graph(adj, xp))
                     numeric[i, j] = (up - down) / (2 * step)
             assert rel_err(analytic, numeric).max() < 1e-4
 
     def test_nonneg_model_has_nonneg_input_gradient(self, rng):
         for readout in ("avg", "sum", "max"):
-            m = random_params(rng, d=5, h1=4, h2=3, hg=3, nonneg=True)
+            m = replace(random_params(rng, d=5, h1=4, h2=3, hg=3, nonneg=True), readout=readout)
             adj = build_normalized_adjacency(chain_graph(4))
             x = rng.integers(0, 4, size=(4, 5)).astype(float)
-            grad = input_gradient(m, prepare_graph(adj, x), readout)
+            grad = input_gradient(m, prepare_graph(adj, x))
             assert grad.min() >= 0.0
 
     def test_zero_output_head_gives_zero_gradient(self, rng):
@@ -397,6 +398,37 @@ class TestModelIO:
         assert back.nonneg_gcn and not back.nonneg_gclf
         for name, w in m.weights().items():
             assert np.array_equal(getattr(back, name), w), name
+
+    @pytest.mark.parametrize("readout", ["avg", "sum", "max"])
+    def test_readout_round_trips(self, tmp_path, rng, vocab, readout):
+        m = replace(random_params(rng, d=3, h1=2, h2=2, hg=2), readout=readout)
+        path = tmp_path / "model.txt"
+        save_model(m, path, vocab)
+        assert path.read_text(encoding="utf-8").splitlines()[2].endswith(f" readout={readout}")
+        assert load_model(path, vocab).readout == readout
+
+    def test_flags_without_readout_load_as_avg(self, tmp_path, rng, vocab):
+        # files written before the readout was saved; every command then scored with avg by default
+        path = tmp_path / "model.txt"
+        save_model(replace(random_params(rng, d=3, h1=2, h2=2, hg=2), readout="max"), path, vocab)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].removesuffix(" readout=max")
+        assert lines[2] == "flags nonneg_gcn=0 nonneg_gclf=0"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert load_model(path, vocab).readout == "avg"
+
+    def test_unknown_readout_in_file_rejected(self, tmp_path, rng, vocab):
+        path = tmp_path / "model.txt"
+        save_model(random_params(rng, d=3, h1=2, h2=2, hg=2), path, vocab)
+        path.write_text(path.read_text(encoding="utf-8").replace("readout=avg", "readout=bogus"), encoding="utf-8")
+        with pytest.raises(ModelIOError, match="unknown readout 'bogus'"):
+            load_model(path, vocab)
+
+    def test_copy_keeps_flags_and_readout(self, rng):
+        m = replace(random_params(rng, d=3, h1=2, h2=2, hg=2, nonneg=True), readout="sum")
+        c = m.copy()
+        assert (c.nonneg_gcn, c.nonneg_gclf, c.readout) == (True, True, "sum")
+        assert all(getattr(c, name) is not w and np.array_equal(getattr(c, name), w) for name, w in m.weights().items())
 
     def test_wrong_vocabulary_rejected(self, tmp_path, rng, vocab):
         m = random_params(rng, d=3, h1=2, h2=2, hg=2)
