@@ -6,7 +6,6 @@ Exit codes are a stable contract: 0 success, 1 usage error, 2 data error,
 """
 
 import argparse
-import dataclasses
 import hashlib
 import logging
 import sys
@@ -17,6 +16,7 @@ from .attack import (
     AttackConfig,
     attack_sweep,
     check_monotonicity,
+    generate_training_adversaries,
     read_benign_pool,
     write_attack_report,
     write_benign_pool,
@@ -26,7 +26,7 @@ from .featurize import build_vocabulary, embed_graph, read_vocabulary, write_voc
 from .gcn import GCLF_WEIGHTS, GCN_WEIGHTS, READOUTS, load_model, save_model, score_graphs
 from .metrics import compute_metrics, roc_csv_lines, write_metrics_report
 from .synth import SynthConfig, derive_benign_pool, generate_corpus, split_corpus, write_manifest
-from .train import AdvTrainConfig, TrainConfig, train, write_train_report
+from .train import TrainConfig, train, write_train_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,10 +54,10 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
-def _parse_seed(text: str) -> int:
+def _parse_count(text: str) -> int:
     try:
-        if (seed := int(text)) >= 0:
-            return seed
+        if (count := int(text)) >= 0:
+            return count
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
@@ -68,6 +68,10 @@ def _parse_csv_floats(text: str):
         return tuple(float(part) for part in text.split(",") if part != "")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+
+
+def _parse_csv_counts(text: str):
+    return tuple(_parse_count(part) for part in text.split(",") if part != "")
 
 
 def _parse_csv_names(text: str):
@@ -110,7 +114,7 @@ def _build_parser() -> _Parser:
 
     def common(p, *, seed=True, strict=True):
         if seed:
-            p.add_argument("--seed", type=_parse_seed, default=0)
+            p.add_argument("--seed", type=_parse_count, default=0)
         if strict:
             p.add_argument("--strict", action="store_true", help="reject unknown interchange fields")
 
@@ -121,7 +125,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-malware", type=int, default=1500)
     p.add_argument("--node-min", type=int, default=5)
     p.add_argument("--node-max", type=int, default=200)
-    p.add_argument("--split", type=_parse_csv_floats, default=None, help="e.g. 2000,500,500 writes .train/.val/.test files")
+    p.add_argument("--split", type=_parse_csv_counts, default=None, help="e.g. 2000,500,500 writes .train/.val/.test files")
     p.add_argument("--pool-out", default=None, help="benign pool output (default: <out>.pool)")
     p.add_argument("--manifest-out", default=None, help="manifest output (default: <out>.manifest)")
 
@@ -142,7 +146,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="optional training report path")
     p.add_argument("--nonneg-gcn", type=_parse_bool, default=False)
     p.add_argument("--nonneg-gclf", type=_parse_bool, default=False)
-    p.add_argument("--adv-train", type=int, default=0, metavar="COUNT")
+    p.add_argument("--adv-train", type=_parse_count, default=0, metavar="COUNT", help="add COUNT attack-generated malware graphs to the training corpus")
     p.add_argument("--pool", default=None, help="benign pool for --adv-train (default: derived from the training corpus)")
     p.add_argument("--patience", type=int, default=3)
     p.add_argument("--epochs", type=int, default=100)
@@ -152,7 +156,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--h1", type=int, default=500)
     p.add_argument("--h2", type=int, default=250)
     p.add_argument("--hg", type=int, default=64)
-    p.add_argument("--projection", choices=("per_epoch", "per_step"), default="per_epoch")
 
     p = sub.add_parser("eval", help="score a labeled corpus and write a metrics report")
     common(p, seed=False)
@@ -201,6 +204,8 @@ def _cmd_gen_corpus(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if args.split and sum(args.split) > args.n_benign + args.n_malware:
+        raise UsageError(f"--split sizes sum to {sum(args.split)} but the corpus has {args.n_benign + args.n_malware} graphs")
     corpus, pool = generate_corpus(cfg)
     write_corpus(corpus, args.out)
     pool_path = args.pool_out or f"{args.out}.pool"
@@ -208,8 +213,7 @@ def _cmd_gen_corpus(args) -> int:
     manifest_path = args.manifest_out or f"{args.out}.manifest"
     write_manifest(cfg, manifest_path, {"corpus_sha256": _file_digest(args.out), "tool_version": __version__})
     if args.split:
-        sizes = [int(s) for s in args.split]
-        for name, part in zip(_split_names(len(sizes)), split_corpus(corpus, sizes)):
+        for name, part in zip(_split_names(len(args.split)), split_corpus(corpus, args.split)):
             write_corpus(part, f"{args.out}.{name}")
     print(f"wrote {len(corpus)} graphs to {args.out}")
     return EXIT_OK
@@ -247,21 +251,21 @@ def _cmd_train(args) -> int:
             seed=args.seed,
             nonneg_gcn=args.nonneg_gcn,
             nonneg_gclf=args.nonneg_gclf,
-            projection_cadence=args.projection,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if args.pool and not args.adv_train:
+        raise UsageError("--pool is used only with --adv-train above 0")
     train_corpus = read_corpus(args.corpus, strict=args.strict)
     val_corpus = read_corpus(args.val, strict=args.strict)
     vocab = read_vocabulary(args.vocab)
 
-    if args.adv_train > 0:
-        if args.pool:
-            pool = read_benign_pool(args.pool)
-        else:
-            pool = derive_benign_pool(train_corpus)
-        adversarial = AdvTrainConfig(count=args.adv_train, pool=pool, attack=AttackConfig(seed=args.seed))
-        cfg = dataclasses.replace(cfg, adversarial_training=adversarial)
+    if args.adv_train:
+        records = train_corpus.records
+        pool = read_benign_pool(args.pool) if args.pool else derive_benign_pool(train_corpus)
+        extra = generate_training_adversaries(records, pool, AttackConfig(seed=args.seed), args.adv_train, seed=args.seed)
+        logger.info("adversarial training: added %d attack-generated malware graphs", len(extra))
+        train_corpus = Corpus(records + tuple(extra), train_corpus.provenance)
 
     model, report = train(train_corpus, val_corpus, vocab, cfg)
     save_model(model, args.model, vocab)
@@ -321,6 +325,8 @@ def _cmd_attack(args) -> int:
 
     corpus = read_corpus(args.corpus, strict=args.strict)
     malware = [g for g in corpus if g.label == LABEL_MALWARE]
+    if not malware:
+        raise DataError(f"{args.corpus}: no malware records to attack")
     skipped = len(corpus) - len(malware)
     if skipped:
         logger.warning("skipping %d non-malware records", skipped)

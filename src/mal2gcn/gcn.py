@@ -288,13 +288,17 @@ def forward(m: ModelParams, pg: PreparedGraph):
     return float(cache.p[0]), cache
 
 
+def cross_entropy(p: np.ndarray, y: np.ndarray) -> float:
+    """Mean binary cross-entropy of probabilities `p` against 0/1 labels `y`, p clamped to (eps, 1-eps)."""
+    p = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean())
+
+
 def batch_loss_and_gradients(m: ModelParams, prepared: list, labels: np.ndarray):
     """Mean clamped cross-entropy and its exact parameter gradients over prepared graphs."""
     cache = _forward_batch(m, prepared)
     y = np.asarray(labels, dtype=np.float64)
-    p_clamped = np.clip(cache.p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    losses = -(y * np.log(p_clamped) + (1.0 - y) * np.log(1.0 - p_clamped))
-    loss = float(losses.mean())
+    loss = cross_entropy(cache.p, y)
     # the clamp has zero derivative outside (eps, 1-eps)
     inside = (cache.p > PROB_CLAMP) & (cache.p < 1.0 - PROB_CLAMP)
     dz4 = np.where(inside, cache.p - y, 0.0) / len(prepared)

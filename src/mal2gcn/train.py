@@ -1,37 +1,29 @@
-"""Adam training loop with early stopping and the non-negative projection cadence."""
+"""Adam training loop with early stopping and per-epoch non-negative projection.
 
-import logging
-from dataclasses import dataclass, field
+`train` fits the corpora and config it is given; adversarial augmentation, if
+any, is the caller's: extend the training corpus with
+`attack.generate_training_adversaries` before calling it.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import AttackConfig, BenignPool, generate_training_adversaries
 from .fcg import Corpus, DataError, Fcg, LABEL_MALWARE, normalize_fcg
 from .featurize import Vocabulary
 from .gcn import (
-    PROB_CLAMP,
     ModelParams,
     batch_loss_and_gradients,
+    cross_entropy,
     init_params,
     prepare_fcg,
     project_nonnegative,
     score_prepared,
 )
 
-logger = logging.getLogger("mal2gcn")
-
 
 class TrainingError(DataError):
     """Training hit a non-finite loss or an unusable corpus."""
-
-
-@dataclass(frozen=True)
-class AdvTrainConfig:
-    """Augment the training set with attack-generated malware before epoch 1."""
-
-    count: int
-    pool: BenignPool
-    attack: AttackConfig = field(default_factory=AttackConfig)
 
 
 @dataclass(frozen=True)
@@ -47,16 +39,12 @@ class TrainConfig:
     seed: int = 0
     nonneg_gcn: bool = False
     nonneg_gclf: bool = False
-    adversarial_training: AdvTrainConfig | None = None
-    projection_cadence: str = "per_epoch"  # per_epoch | per_step
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if min(self.batch_size, self.patience, self.max_epochs, self.h1, self.h2, self.hg) < 1:
             raise ValueError("batch_size, patience, max_epochs, and layer sizes must be >= 1")
-        if self.projection_cadence not in ("per_epoch", "per_step"):
-            raise ValueError(f"unknown projection cadence {self.projection_cadence!r}")
 
 
 @dataclass(frozen=True)
@@ -143,8 +131,7 @@ def _prepare_labeled(records, vocab: Vocabulary):
 
 def _eval_split(params: ModelParams, prepared, labels):
     scores = score_prepared(params, prepared)
-    p = np.clip(scores, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    loss = float(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)).mean())
+    loss = cross_entropy(scores, labels)
     acc = float(((scores >= 0.5).astype(np.float64) == labels).mean())
     return loss, acc
 
@@ -154,8 +141,8 @@ def train(
 ) -> tuple[ModelParams, TrainReport]:
     """Train from scratch; returns the best-validation-epoch weights, re-projected.
 
-    Deterministic for a fixed (corpora, vocabulary, config): weight init, epoch
-    shuffles, and any adversarial augmentation all derive from cfg.seed.
+    Deterministic for a fixed (corpora, vocabulary, config): weight init and
+    epoch shuffles both derive from cfg.seed.
     """
     _check_labeled(train_corpus, "train")
     _check_labeled(val_corpus, "validation")
@@ -165,16 +152,7 @@ def train(
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
 
-    train_records = list(train_corpus.records)
-    if cfg.adversarial_training is not None:
-        adv = cfg.adversarial_training
-        extra = generate_training_adversaries(
-            train_records, adv.pool, adv.attack, adv.count, seed=cfg.seed
-        )
-        logger.info("adversarial training: added %d attack-generated malware graphs", len(extra))
-        train_records.extend(extra)
-
-    train_prepared, train_labels = _prepare_labeled(train_records, vocab)
+    train_prepared, train_labels = _prepare_labeled(train_corpus.records, vocab)
     val_prepared, val_labels = _prepare_labeled(val_corpus.records, vocab)
 
     d = vocab.size
@@ -198,13 +176,10 @@ def train(
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}")
             adam.step(params, grads)
-            if cfg.projection_cadence == "per_step":
-                params = project_nonnegative(params)
             epoch_losses.append(loss)
             epoch_correct += int(((cache.p >= 0.5) == (labels >= 0.5)).sum())
 
-        if cfg.projection_cadence == "per_epoch":
-            params = project_nonnegative(params)
+        params = project_nonnegative(params)
 
         val_loss, val_acc = _eval_split(params, val_prepared, val_labels)
         if not np.isfinite(val_loss):

@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+import re
 import shlex
 from dataclasses import replace
 from pathlib import Path
@@ -17,6 +19,13 @@ from mal2gcn.metrics import compute_metrics, write_metrics_report
 from conftest import hostile_model
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# sha256 of the models that TestDeterminism.test_adversarial_training_is_pinned trains,
+# recorded when train() still did the augmentation itself
+ADV_TRAIN_DIGESTS = {
+    "pool": "c7302bd2ced2efe6828744191959abf5704e5c108bb8bae280acbee5c7399117",
+    "derived_pool": "f5f97f6607905116e45955d5863d954f012ad87fb9b970c14537eb3df2748158",
+}
 
 
 def digest(path):
@@ -295,12 +304,19 @@ class TestExitCodes:
             ["gen-corpus", "--seed", "-1"],
             ["gen-corpus", "--node-min", "0"],
             ["gen-corpus", "--n-benign", "-1"],
+            ["gen-corpus", "--n-benign", "5", "--n-malware", "5", "--split", "12,-2"],
+            ["gen-corpus", "--n-benign", "5", "--n-malware", "5", "--split", "nan"],
+            ["gen-corpus", "--n-benign", "5", "--n-malware", "5", "--split", "2.7,3.9,3.4"],
+            ["gen-corpus", "--n-benign", "5", "--n-malware", "5", "--split", "4,4,4,4"],
             ["build-vocab", "--k-api", "0"],
             ["build-vocab", "--prefilter", "0"],
             ["build-vocab", "--prefilter", "-5"],
             ["train", "--epochs", "0"],
             ["train", "--lr", "0"],
             ["train", "--seed", "-1"],
+            ["train", "--adv-train", "-5"],
+            ["train", "--pool", "no-such-pool"],
+            ["train", "--projection", "per_step"],
             ["check-monotone", "--seed", "-1"],
         ],
         ids=" ".join,
@@ -318,6 +334,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("mal2gcn: usage error: ") and err.count("\n") == 1 and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_attack_on_corpus_without_malware_is_data_error(self, workspace, tmp_path, capsys):
+        _, corpus, vocab, model = workspace
+        benign = tmp_path / "benign.jsonl"
+        lines = Path(f"{corpus}.test").read_text(encoding="utf-8").splitlines()
+        benign.write_text("".join(f"{line}\n" for line in lines if json.loads(line)["label"] == "benign"), encoding="utf-8")
+        out = tmp_path / "attack.tsv"
+        code = run(["attack", "--corpus", str(benign), "--vocab", str(vocab), "--model", str(model),
+                    "--pool", f"{corpus}.pool", "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"mal2gcn: data error: {benign}: no malware records to attack\n"
+        assert not out.exists()
 
     def test_vocabulary_without_tokens_is_data_error(self, workspace, tmp_path, capsys):
         _, corpus, _, _ = workspace
@@ -538,6 +566,19 @@ class TestExitCodes:
         parser = _build_parser()
         assert sorted({parser.parse_args(argv).command for argv in commands}) == sorted(_COMMANDS)
 
+    def test_readme_names_every_option_of_every_command(self):
+        # each long option appears on a README line that names its command as `cmd` or `mal2gcn cmd`
+        text = (ROOT / "README.md").read_text(encoding="utf-8").replace("\\\n", " ")
+        parser = _build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        missing = []
+        for command, sub in commands.items():
+            lines = [line for line in text.splitlines() if f"`{command}`" in line or f"mal2gcn {command} " in line]
+            named = set(re.findall(r"--[a-z0-9-]+", "\n".join(lines)))
+            options = [o for a in sub._actions for o in a.option_strings if o.startswith("--") and o != "--help"]
+            missing += [f"{command} {o}" for o in options if o not in named]
+        assert missing == []
+
     def test_help_and_version_exit_zero(self, capsys):
         assert run(["--help"]) == EXIT_OK
         assert run(["--version"]) == EXIT_OK
@@ -566,3 +607,18 @@ class TestDeterminism:
             ) == EXIT_OK
             models.append(digest(path))
         assert models[0] == models[1]
+
+    def test_adversarial_training_is_pinned(self, workspace, tmp_path):
+        _, corpus, vocab, _ = workspace
+        base = ["train", "--corpus", str(corpus) + ".train", "--val", str(corpus) + ".val", "--vocab", str(vocab),
+                "--seed", "9", "--epochs", "3", "--h1", "16", "--h2", "8", "--hg", "4"]
+
+        def fit(name, *flags):
+            path = tmp_path / name
+            assert run(base + ["--model", str(path), *flags]) == EXIT_OK
+            return digest(path)
+
+        pooled = ["--adv-train", "10", "--pool", str(corpus) + ".pool"]
+        assert fit("a.txt", *pooled) == fit("b.txt", *pooled) == ADV_TRAIN_DIGESTS["pool"]
+        assert fit("derived.txt", "--adv-train", "10") == ADV_TRAIN_DIGESTS["derived_pool"]
+        assert fit("plain.txt") != ADV_TRAIN_DIGESTS["pool"]

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from mal2gcn.attack import AttackConfig
 from mal2gcn.fcg import Corpus, Fcg, FunctionNode
 from mal2gcn.featurize import build_vocabulary
 from mal2gcn.synth import split_corpus
 from mal2gcn.train import (
-    AdvTrainConfig,
     EarlyStopper,
     TrainConfig,
     TrainingError,
@@ -94,13 +92,6 @@ class TestTrain:
         assert model.w_out.min() >= 0.0
         assert report.audit_ok()
 
-    def test_per_step_cadence_keeps_weights_nonneg_every_step(self, tiny_setup):
-        tr, va, vocab, _ = tiny_setup
-        model, _ = train(
-            tr, va, vocab, small_cfg(nonneg_gcn=True, nonneg_gclf=True, projection_cadence="per_step")
-        )
-        assert model.w_gcn1.min() >= 0.0
-
     def test_unconstrained_model_learns_negative_weights(self, tiny_setup):
         tr, va, vocab, _ = tiny_setup
         model, report = train(tr, va, vocab, small_cfg())
@@ -135,15 +126,6 @@ class TestTrain:
         with pytest.raises(TrainingError, match="both labels"):
             train(tr, mal_only, vocab, small_cfg())
 
-    def test_adversarial_training_augments_and_stays_deterministic(self, tiny_setup):
-        tr, va, vocab, pool = tiny_setup
-        adv = AdvTrainConfig(count=10, pool=pool, attack=AttackConfig(seed=3))
-        m1, _ = train(tr, va, vocab, small_cfg(adversarial_training=adv))
-        m2, _ = train(tr, va, vocab, small_cfg(adversarial_training=adv))
-        assert np.array_equal(m1.w_gcn1, m2.w_gcn1)
-        m3, _ = train(tr, va, vocab, small_cfg())
-        assert not np.array_equal(m1.w_gcn1, m3.w_gcn1)
-
     def test_report_write(self, tiny_setup, tmp_path):
         tr, va, vocab, _ = tiny_setup
         _, report = train(tr, va, vocab, small_cfg())
@@ -159,10 +141,6 @@ class TestTrainConfig:
     def test_rejects_bad_learning_rate(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
-
-    def test_rejects_bad_cadence(self):
-        with pytest.raises(ValueError):
-            TrainConfig(projection_cadence="hourly")
 
     def test_rejects_zero_sizes(self):
         with pytest.raises(ValueError):
