@@ -38,7 +38,8 @@ from .attack import (
     apply_perturbation,
     attack_sweep,
     check_monotonicity,
+    derive_benign_pool,
     generate_attack,
 )
-from .synth import SynthConfig, derive_benign_pool, generate_corpus, split_corpus
+from .synth import SynthConfig, generate_corpus, split_corpus
 from .metrics import MetricsReport, compute_metrics

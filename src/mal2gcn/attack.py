@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 
-from .fcg import Corpus, DataError, Fcg, FormatError, FunctionNode, LABEL_MALWARE, normalize_fcg, read_lines
+from .fcg import Corpus, DataError, Fcg, FormatError, FunctionNode, LABEL_BENIGN, LABEL_MALWARE, normalize_fcg, read_lines
 from .featurize import (
     KIND_API,
     KIND_STRING,
@@ -77,6 +77,8 @@ class AttackConfig:
     def __post_init__(self):
         if not self.modes or any(m not in MODES for m in self.modes):
             raise ValueError(f"modes must be a non-empty subset of {MODES}")
+        if not self.overheads:
+            raise ValueError("overheads must name at least one overhead")
         if not all(0 <= o <= MAX_OVERHEAD_PCT for o in self.overheads):
             raise ValueError(f"overheads must be numbers from 0 to {MAX_OVERHEAD_PCT:g}")
         if any(a >= b for a, b in zip(self.overheads, self.overheads[1:])):
@@ -313,7 +315,7 @@ def _attack_one(g, model, vocab, pool, columns, cfg: AttackConfig) -> SampleOutc
     original = float(score_prepared(model, [prepare_graph(adj, counts)])[0])
     detected = original >= 0.5
     n_tokens = g.total_token_count
-    largest = _budget(n_tokens, cfg.overheads[-1]) if cfg.overheads else 0
+    largest = _budget(n_tokens, cfg.overheads[-1])
     draws = [_draw(g, pool, largest, cfg.modes, cfg.seed, trial) for trial in range(cfg.trials_per_sample)]
     counts = counts.tocoo()
     adv_scores = {}
@@ -345,8 +347,8 @@ def attack_sweep(
         if g.label != LABEL_MALWARE:
             raise DataError(f"attack corpus must be all-malware; graph {g.graph_id} is {g.label}")
     if reference_overhead is None:
-        reference_overhead = cfg.overheads[-1] if cfg.overheads else 0.0
-    if cfg.overheads and reference_overhead not in cfg.overheads:
+        reference_overhead = cfg.overheads[-1]
+    if reference_overhead not in cfg.overheads:
         raise ValueError("reference overhead must be one of the scheduled overheads")
 
     columns = np.array(  # vocabulary column of each pool index, -1 outside the vocabulary
@@ -374,14 +376,14 @@ def attack_sweep(
             )
         )
 
-    ref = next((s for s in summary if s.overhead_pct == reference_overhead), None)
+    ref = next(s for s in summary if s.overhead_pct == reference_overhead)
     return AttackReport(
         overheads=tuple(cfg.overheads),
         samples=tuple(outcomes),
         summary=tuple(summary),
         reference_overhead=reference_overhead,
-        robust_accuracy_conditioned=ref.robust_acc_conditioned if ref else 0.0,
-        robust_accuracy_overall=ref.robust_acc_overall if ref else 0.0,
+        robust_accuracy_conditioned=ref.robust_acc_conditioned,
+        robust_accuracy_overall=ref.robust_acc_overall,
         n_samples=n_samples,
         n_detected=n_detected,
     )
@@ -490,6 +492,21 @@ def check_monotonicity(
 # ---------------------------------------------------------------------------
 # Pool and report files
 # ---------------------------------------------------------------------------
+
+
+def derive_benign_pool(corpus: Corpus) -> BenignPool:
+    """The sorted set of normalized tokens per kind among benign-labeled graphs.
+
+    On a synthetic corpus whose benign graphs use every benign and shared
+    token, this is the pool generate_corpus writes, in the same order.
+    """
+    benign = [g for g in corpus if g.label == LABEL_BENIGN]
+    if not benign:
+        raise DataError("cannot derive a benign pool: no benign-labeled graphs")
+    nodes = [node for g in benign for node in g.nodes]
+    apis = {normalize_token(token, KIND_API) for node in nodes for token in node.apis}
+    strings = {normalize_token(token, KIND_STRING) for node in nodes for token in node.strings}
+    return BenignPool(tuple(sorted(apis - {None})), tuple(sorted(strings - {None})))
 
 
 def write_benign_pool(pool: BenignPool, path) -> None:

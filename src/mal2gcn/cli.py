@@ -16,6 +16,7 @@ from .attack import (
     AttackConfig,
     attack_sweep,
     check_monotonicity,
+    derive_benign_pool,
     generate_training_adversaries,
     read_benign_pool,
     write_attack_report,
@@ -25,7 +26,7 @@ from .fcg import Corpus, DataError, LABEL_MALWARE, normalize_fcg, read_corpus, w
 from .featurize import build_vocabulary, embed_graph, read_vocabulary, write_vocabulary
 from .gcn import GCLF_WEIGHTS, GCN_WEIGHTS, READOUTS, load_model, save_model, score_graphs
 from .metrics import compute_metrics, roc_csv_lines, write_metrics_report
-from .synth import SynthConfig, derive_benign_pool, generate_corpus, split_corpus, write_manifest
+from .synth import SynthConfig, generate_corpus, split_corpus, write_manifest
 from .train import TrainConfig, train, write_train_report
 
 EXIT_OK = 0
@@ -147,7 +148,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--nonneg-gcn", type=_parse_bool, default=False)
     p.add_argument("--nonneg-gclf", type=_parse_bool, default=False)
     p.add_argument("--adv-train", type=_parse_count, default=0, metavar="COUNT", help="add COUNT attack-generated malware graphs to the training corpus")
-    p.add_argument("--pool", default=None, help="benign pool for --adv-train (default: derived from the training corpus)")
     p.add_argument("--patience", type=int, default=3)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch", type=int, default=32)
@@ -254,18 +254,17 @@ def _cmd_train(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if args.pool and not args.adv_train:
-        raise UsageError("--pool is used only with --adv-train above 0")
     train_corpus = read_corpus(args.corpus, strict=args.strict)
     val_corpus = read_corpus(args.val, strict=args.strict)
     vocab = read_vocabulary(args.vocab)
 
+    adversarial = ""
     if args.adv_train:
         records = train_corpus.records
-        pool = read_benign_pool(args.pool) if args.pool else derive_benign_pool(train_corpus)
+        pool = derive_benign_pool(train_corpus)
         extra = generate_training_adversaries(records, pool, AttackConfig(seed=args.seed), args.adv_train, seed=args.seed)
-        logger.info("adversarial training: added %d attack-generated malware graphs", len(extra))
         train_corpus = Corpus(records + tuple(extra), train_corpus.provenance)
+        adversarial = f"; added {len(extra)} adversarial graphs drawn from a derived pool of {pool.size} benign tokens"
 
     model, report = train(train_corpus, val_corpus, vocab, cfg)
     save_model(model, args.model, vocab)
@@ -281,7 +280,7 @@ def _cmd_train(args) -> int:
     best = report.epochs[report.best_epoch - 1]
     print(
         f"trained {len(report.epochs)} epochs ({report.stopping_reason}); "
-        f"best epoch {report.best_epoch}: val_loss={best.val_loss:.4f} val_acc={best.val_acc:.4f}"
+        f"best epoch {report.best_epoch}: val_loss={best.val_loss:.4f} val_acc={best.val_acc:.4f}{adversarial}"
     )
     return EXIT_OK
 

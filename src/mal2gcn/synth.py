@@ -7,14 +7,12 @@ Everything derives from one seed.
 """
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attack import BenignPool
 from .fcg import Corpus, DataError, Fcg, FunctionNode, LABEL_BENIGN, LABEL_MALWARE
-from .featurize import KIND_API, KIND_STRING, normalize_token
 
 
 @dataclass(frozen=True)
@@ -175,36 +173,6 @@ def generate_corpus(cfg: SynthConfig) -> tuple[Corpus, BenignPool]:
     provenance = {"source": "synth", "seed": str(cfg.seed), "generator_version": "1"}
     pool = BenignPool(apis=clean_apis, strings=clean_strings)
     return Corpus(tuple(records), provenance), pool
-
-
-def derive_benign_pool(corpus: Corpus, top_k: int = 200) -> BenignPool:
-    """Most frequent normalized tokens per kind among benign-labeled graphs."""
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
-    api_freq: Counter = Counter()
-    str_freq: Counter = Counter()
-    n_benign = 0
-    for g in corpus:
-        if g.label != LABEL_BENIGN:
-            continue
-        n_benign += 1
-        for node in g.nodes:
-            for token in node.apis:
-                normalized = normalize_token(token, KIND_API)
-                if normalized is not None:
-                    api_freq[normalized] += 1
-            for token in node.strings:
-                normalized = normalize_token(token, KIND_STRING)
-                if normalized is not None:
-                    str_freq[normalized] += 1
-    if n_benign == 0:
-        raise DataError("cannot derive a benign pool: no benign-labeled graphs")
-
-    def top(counter: Counter) -> tuple[str, ...]:
-        ranked = sorted(counter.items(), key=lambda item: (-item[1], item[0]))
-        return tuple(token for token, _ in ranked[:top_k])
-
-    return BenignPool(apis=top(api_freq), strings=top(str_freq))
 
 
 def split_corpus(corpus: Corpus, sizes) -> list[Corpus]:

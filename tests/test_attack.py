@@ -12,6 +12,7 @@ from mal2gcn.attack import (
     apply_perturbation,
     attack_sweep,
     check_monotonicity,
+    derive_benign_pool,
     generate_attack,
     generate_training_adversaries,
     read_benign_pool,
@@ -22,7 +23,7 @@ from mal2gcn.cli import EXIT_OK, run
 from mal2gcn.fcg import Corpus, DataError, Fcg, FunctionNode, normalize_fcg, validate_fcg
 from mal2gcn.featurize import Vocabulary, build_vocabulary, embed_graph
 from mal2gcn.gcn import build_normalized_adjacency, forward, prepare_graph, score_graphs
-from mal2gcn.synth import derive_benign_pool, split_corpus
+from mal2gcn.synth import SynthConfig, generate_corpus, split_corpus
 from mal2gcn.train import TrainConfig, train
 
 from conftest import hostile_model
@@ -494,12 +495,25 @@ class TestPoolFile:
         with pytest.raises(Exception, match="header"):
             read_benign_pool(path)
 
-    def test_matches_derived_pool(self, trained_setup, tmp_path, small_corpus):
-        corpus, _ = small_corpus
-        pool = derive_benign_pool(corpus, top_k=25)
-        path = tmp_path / "pool.tsv"
-        write_benign_pool(pool, path)
-        assert read_benign_pool(path) == pool
+
+class TestDeriveBenignPool:
+    def test_is_the_sorted_set_of_normalized_benign_tokens(self):
+        benign = Fcg("b", "benign", "main", (
+            FunctionNode("main", ("Zeta_Api", "alpha_api", "ABC"), ("second string", "a")),
+            FunctionNode("f1", ("ALPHA_API",), ("first string", "second string")),
+        ), (("main", "f1"),))
+        malware = Fcg("m", "malware", "main", (FunctionNode("main", ("evil_api",), ("evil string",)),), ())
+        pool = derive_benign_pool(Corpus((malware, benign, benign), {}))
+        assert pool == BenignPool(("abc", "alpha_api", "zeta_api"), ("first string", "second string"))
+
+    def test_equals_the_generated_pool_on_a_synthetic_training_split(self):
+        corpus, generated = generate_corpus(SynthConfig(seed=1, n_benign=60, n_malware=60))
+        assert derive_benign_pool(split_corpus(corpus, (60, 30, 30))[0]) == generated
+
+    def test_no_benign_graphs_rejected(self):
+        corpus, _ = generate_corpus(SynthConfig(seed=1, n_benign=0, n_malware=5, node_count_max=10))
+        with pytest.raises(DataError, match="no benign-labeled graphs"):
+            derive_benign_pool(corpus)
 
 
 class TestAttackConfig:
@@ -515,7 +529,7 @@ class TestAttackConfig:
         with pytest.raises(ValueError):
             AttackConfig(modes=())
 
-    @pytest.mark.parametrize("overheads", [(float("nan"),), (0.0, float("inf")), (1e300,), (-1.0,), (50.0, 50.0)])
+    @pytest.mark.parametrize("overheads", [(), (float("nan"),), (0.0, float("inf")), (1e300,), (-1.0,), (50.0, 50.0)])
     def test_rejects_overheads_that_are_not_finite_bounded_and_strictly_ascending(self, overheads):
         with pytest.raises(ValueError):
             AttackConfig(overheads=overheads)

@@ -9,22 +9,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mal2gcn.attack import AttackConfig, attack_sweep, check_monotonicity, read_benign_pool, write_attack_report
+from mal2gcn.attack import (
+    AttackConfig,
+    attack_sweep,
+    check_monotonicity,
+    derive_benign_pool,
+    generate_training_adversaries,
+    read_benign_pool,
+    write_attack_report,
+)
 from mal2gcn.cli import _COMMANDS, EXIT_CHECK_FAILED, EXIT_DATA, EXIT_OK, EXIT_USAGE, _build_parser, run
 from mal2gcn.fcg import Corpus, LABEL_MALWARE, read_corpus
 from mal2gcn.featurize import Vocabulary, read_vocabulary, write_vocabulary
 from mal2gcn.gcn import load_model, save_model, score_graphs
 from mal2gcn.metrics import compute_metrics, write_metrics_report
+from mal2gcn.train import TrainConfig, train
 
 from conftest import hostile_model
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# sha256 of the models that TestDeterminism.test_adversarial_training_is_pinned trains,
-# recorded when train() still did the augmentation itself
+# sha256 of the models that TestDeterminism.test_adversarial_training_is_pinned trains:
+# "pool" with the generated pool, recorded when train() still did the augmentation itself;
+# "derived_pool" with the sorted set of the training corpus's benign tokens
 ADV_TRAIN_DIGESTS = {
     "pool": "c7302bd2ced2efe6828744191959abf5704e5c108bb8bae280acbee5c7399117",
-    "derived_pool": "f5f97f6607905116e45955d5863d954f012ad87fb9b970c14537eb3df2748158",
+    "derived_pool": "5c9d90c3a60b99b38e3a12e941f7529b9d68f563927b18fc9c7f4e56e5fddace",
 }
 
 
@@ -137,6 +147,18 @@ class TestPipeline:
         for line in text.splitlines()[summary_start + 2 :]:
             if line and line[0].isdigit():
                 assert line.split("\t")[3] == "0"  # n_evaded column
+
+    def test_adversarial_training_summary_names_the_graphs_added_and_the_pool_size(self, workspace, tmp_path, capsys):
+        _, corpus, vocab, _ = workspace
+        assert run(
+            ["train", "--corpus", str(corpus) + ".train", "--val", str(corpus) + ".val", "--vocab", str(vocab),
+             "--model", str(tmp_path / "m.txt"), "--epochs", "1", "--h1", "8", "--h2", "4", "--hg", "2",
+             "--adv-train", "7"]
+        ) == EXIT_OK
+        size = derive_benign_pool(read_corpus(f"{corpus}.train")).size
+        [line] = capsys.readouterr().out.splitlines()
+        assert line.startswith("trained 1 epochs ")
+        assert line.endswith(f"; added 7 adversarial graphs drawn from a derived pool of {size} benign tokens")
 
     def test_check_monotone_passes_for_nonneg_model(self, workspace):
         root, corpus, vocab, model = workspace
@@ -532,8 +554,10 @@ class TestExitCodes:
             (["--trials", "0"], "trials_per_sample must be >= 1"),
             (["--modes", "bogus"], "modes must be a non-empty subset"),
             (["--overheads", "0,50", "--reference-overhead", "7"], "reference overhead must be one of the scheduled"),
+            (["--overheads", ""], "overheads must name at least one overhead"),
+            (["--overheads", ",", "--reference-overhead", "5"], "overheads must name at least one overhead"),
         ],
-        ids=["nan", "inf", "1e300", "duplicate", "trials0", "bogus-mode", "reference-not-scheduled"],
+        ids=["nan", "inf", "1e300", "duplicate", "trials0", "bogus-mode", "reference-not-scheduled", "empty", "comma"],
     )
     def test_bad_attack_arguments_are_usage_errors(self, workspace, tmp_path, capsys, flags, message):
         _, corpus, vocab, model = workspace
@@ -567,17 +591,20 @@ class TestExitCodes:
         assert sorted({parser.parse_args(argv).command for argv in commands}) == sorted(_COMMANDS)
 
     def test_readme_names_every_option_of_every_command(self):
-        # each long option appears on a README line that names its command as `cmd` or `mal2gcn cmd`
+        # each long option appears on a README line that names its command as `cmd` or `mal2gcn cmd`,
+        # and each command's "- `cmd`:" option bullet names no option its parser lacks
         text = (ROOT / "README.md").read_text(encoding="utf-8").replace("\\\n", " ")
         parser = _build_parser()
         commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
-        missing = []
+        missing, unknown = [], []
         for command, sub in commands.items():
             lines = [line for line in text.splitlines() if f"`{command}`" in line or f"mal2gcn {command} " in line]
             named = set(re.findall(r"--[a-z0-9-]+", "\n".join(lines)))
             options = [o for a in sub._actions for o in a.option_strings if o.startswith("--") and o != "--help"]
             missing += [f"{command} {o}" for o in options if o not in named]
-        assert missing == []
+            [bullet] = [line for line in text.splitlines() if line.startswith(f"- `{command}`: ")]
+            unknown += [f"{command} {o}" for o in re.findall(r"--[a-z0-9-]+", bullet) if o not in options]
+        assert (missing, unknown) == ([], [])
 
     def test_help_and_version_exit_zero(self, capsys):
         assert run(["--help"]) == EXIT_OK
@@ -609,8 +636,8 @@ class TestDeterminism:
         assert models[0] == models[1]
 
     def test_adversarial_training_is_pinned(self, workspace, tmp_path):
-        _, corpus, vocab, _ = workspace
-        base = ["train", "--corpus", str(corpus) + ".train", "--val", str(corpus) + ".val", "--vocab", str(vocab),
+        _, corpus, vocab_path, _ = workspace
+        base = ["train", "--corpus", str(corpus) + ".train", "--val", str(corpus) + ".val", "--vocab", str(vocab_path),
                 "--seed", "9", "--epochs", "3", "--h1", "16", "--h2", "8", "--hg", "4"]
 
         def fit(name, *flags):
@@ -618,7 +645,19 @@ class TestDeterminism:
             assert run(base + ["--model", str(path), *flags]) == EXIT_OK
             return digest(path)
 
-        pooled = ["--adv-train", "10", "--pool", str(corpus) + ".pool"]
-        assert fit("a.txt", *pooled) == fit("b.txt", *pooled) == ADV_TRAIN_DIGESTS["pool"]
-        assert fit("derived.txt", "--adv-train", "10") == ADV_TRAIN_DIGESTS["derived_pool"]
-        assert fit("plain.txt") != ADV_TRAIN_DIGESTS["pool"]
+        # the library path with the generated pool, as `train --adv-train` ran it when it took a pool file
+        train_corpus, vocab = read_corpus(f"{corpus}.train"), read_vocabulary(vocab_path)
+        records = train_corpus.records
+        extra = generate_training_adversaries(records, read_benign_pool(f"{corpus}.pool"), AttackConfig(seed=9), 10, seed=9)
+        model, _ = train(
+            Corpus(records + tuple(extra), train_corpus.provenance),
+            read_corpus(f"{corpus}.val"),
+            vocab,
+            TrainConfig(max_epochs=3, h1=16, h2=8, hg=4, seed=9),
+        )
+        save_model(model, tmp_path / "pool.txt", vocab)
+        assert digest(tmp_path / "pool.txt") == ADV_TRAIN_DIGESTS["pool"]
+
+        derived = ["--adv-train", "10"]
+        assert fit("a.txt", *derived) == fit("b.txt", *derived) == ADV_TRAIN_DIGESTS["derived_pool"]
+        assert fit("plain.txt") != ADV_TRAIN_DIGESTS["derived_pool"]

@@ -5,7 +5,6 @@ import pytest
 from mal2gcn.fcg import DataError, write_corpus, validate_fcg, normalize_fcg
 from mal2gcn.synth import (
     SynthConfig,
-    derive_benign_pool,
     generate_corpus,
     split_corpus,
 )
@@ -133,40 +132,6 @@ class TestGenerateCorpus:
             SynthConfig(node_count_min=0)
         with pytest.raises(ValueError):
             SynthConfig(tokens_per_node_min=5, tokens_per_node_max=2)
-
-
-class TestDeriveBenignPool:
-    def test_ubiquitous_benign_token_lands_in_pool(self):
-        corpus, _ = generate_corpus(quick_cfg())
-        pool = derive_benign_pool(corpus, top_k=10)
-        benign_api_counts = {}
-        for g in corpus:
-            if g.label != "benign":
-                continue
-            for node in g.nodes:
-                for t in node.apis:
-                    benign_api_counts[t] = benign_api_counts.get(t, 0) + 1
-        most_common = max(benign_api_counts, key=lambda t: (benign_api_counts[t], t))
-        assert most_common in pool.apis
-
-    def test_top_k_larger_than_distinct_tokens_returns_all(self):
-        corpus, _ = generate_corpus(quick_cfg())
-        pool = derive_benign_pool(corpus, top_k=100000)
-        distinct_apis = set()
-        for g in corpus:
-            if g.label == "benign":
-                for node in g.nodes:
-                    distinct_apis.update(node.apis)
-        assert set(pool.apis) == distinct_apis
-
-    def test_deterministic(self):
-        corpus, _ = generate_corpus(quick_cfg())
-        assert derive_benign_pool(corpus, 15) == derive_benign_pool(corpus, 15)
-
-    def test_no_benign_graphs_rejected(self):
-        corpus, _ = generate_corpus(quick_cfg(n_benign=0))
-        with pytest.raises(DataError):
-            derive_benign_pool(corpus)
 
 
 class TestSplitCorpus:
