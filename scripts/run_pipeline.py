@@ -12,7 +12,14 @@ import sys
 import time
 from pathlib import Path
 
-from mal2gcn.attack import AttackConfig, attack_sweep, check_monotonicity, write_attack_report, write_benign_pool
+from mal2gcn.attack import (
+    DEFAULT_OVERHEADS,
+    AttackConfig,
+    attack_sweep,
+    check_monotonicity,
+    write_attack_report,
+    write_benign_pool,
+)
 from mal2gcn.fcg import Corpus, LABEL_MALWARE, write_corpus
 from mal2gcn.featurize import build_vocabulary, write_vocabulary
 from mal2gcn.gcn import save_model, score_graphs
@@ -35,7 +42,7 @@ def main():
     parser.add_argument("--n-malware", type=int, default=1500)
     parser.add_argument("--split", default="2000,500,500")
     parser.add_argument("--epochs", type=int, default=15)
-    parser.add_argument("--attack-overhead", type=float, default=200.0)
+    parser.add_argument("--attack-overhead", type=float, choices=DEFAULT_OVERHEADS, default=200.0)
     args = parser.parse_args()
 
     work = args.workdir
@@ -72,10 +79,8 @@ def main():
         metrics = compute_metrics(list(zip(scores, test_labels)))
         write_metrics_report(metrics, work / f"metrics.{variant}.txt", {"seed": args.seed})
 
-        sweep_cfg = AttackConfig(seed=args.seed)
-        sweep = attack_sweep(
-            model, vocab, malware, pool, sweep_cfg, reference_overhead=args.attack_overhead
-        )
+        sweep = attack_sweep(model, vocab, malware, pool, AttackConfig(seed=args.seed))
+        robust = next(s for s in sweep.summary if s.overhead_pct == args.attack_overhead).robust_acc_conditioned
         write_attack_report(sweep, work / f"attack.{variant}.tsv", {"seed": args.seed})
 
         mono = check_monotonicity(model, vocab, te, trials=300, seed=args.seed)
@@ -84,7 +89,7 @@ def main():
                 variant,
                 metrics.accuracy,
                 metrics.auc if metrics.auc is not None else float("nan"),
-                sweep.robust_accuracy_conditioned,
+                robust,
                 len(mono.violations),
                 "audit" if not mono.informational else "info",
                 seconds,
@@ -92,7 +97,7 @@ def main():
         )
         print(
             f"   acc={metrics.accuracy:.4f} auc={rows[-1][2]:.4f} "
-            f"robust@{args.attack_overhead:g}%={sweep.robust_accuracy_conditioned:.4f} "
+            f"robust@{args.attack_overhead:g}%={robust:.4f} "
             f"({seconds:.0f}s)",
             flush=True,
         )

@@ -40,6 +40,7 @@ MODES = ("inject_existing", "add_dead_nodes")
 TARGET_FRACTION = 0.5  # inject_existing appends to a random half of the functions
 TOKENS_PER_DEAD_NODE = 20  # add_dead_nodes puts this many tokens in each new function
 MAX_OVERHEAD_PCT = 10000.0  # 20x the default schedule's largest overhead
+MONOTONICITY_TOLERANCE = 1e-9  # score drop the audit forgives as float rounding
 
 POOL_HEADER = "#mal2gcn-pool v1"
 ATTACK_REPORT_HEADER = "#mal2gcn-attack v1"
@@ -263,14 +264,10 @@ class OverheadSummary:
 
 @dataclass(frozen=True)
 class AttackReport:
-    overheads: tuple[float, ...]
+    """Per-sample outcomes and the curve, one row per scheduled overhead; the last row is the headline."""
+
     samples: tuple[SampleOutcome, ...]
     summary: tuple[OverheadSummary, ...]
-    reference_overhead: float
-    robust_accuracy_conditioned: float
-    robust_accuracy_overall: float
-    n_samples: int
-    n_detected: int
 
 
 def _prepare_attacked(
@@ -335,21 +332,15 @@ def attack_sweep(
     corpus: Corpus,
     pool: BenignPool,
     cfg: AttackConfig,
-    reference_overhead: float | None = None,
 ) -> AttackReport:
     """Attack every malware sample at every overhead and aggregate the outcome curve.
 
-    Robust accuracy is reported two ways at the reference overhead (default:
-    the largest in the schedule): conditioned on originally-detected samples,
-    and over all samples.
+    Each summary row reports robust accuracy two ways: conditioned on
+    originally-detected samples, and over all samples.
     """
     for g in corpus:
         if g.label != LABEL_MALWARE:
             raise DataError(f"attack corpus must be all-malware; graph {g.graph_id} is {g.label}")
-    if reference_overhead is None:
-        reference_overhead = cfg.overheads[-1]
-    if reference_overhead not in cfg.overheads:
-        raise ValueError("reference overhead must be one of the scheduled overheads")
 
     columns = np.array(  # vocabulary column of each pool index, -1 outside the vocabulary
         [vocab.column(t, KIND_API) for t in pool.apis] + [vocab.column(t, KIND_STRING) for t in pool.strings],
@@ -362,7 +353,7 @@ def attack_sweep(
     summary = []
     for overhead in cfg.overheads:
         n_evaded = sum(1 for o in outcomes if o.evaded[overhead])
-        survived = sum(1 for o in outcomes if o.original_score >= 0.5 and o.adv_scores[overhead] >= 0.5)
+        survived = n_detected - n_evaded
         overall = sum(1 for o in outcomes if o.adv_scores[overhead] >= 0.5)
         summary.append(
             OverheadSummary(
@@ -375,18 +366,7 @@ def attack_sweep(
                 robust_acc_overall=overall / n_samples if n_samples else 0.0,
             )
         )
-
-    ref = next(s for s in summary if s.overhead_pct == reference_overhead)
-    return AttackReport(
-        overheads=tuple(cfg.overheads),
-        samples=tuple(outcomes),
-        summary=tuple(summary),
-        reference_overhead=reference_overhead,
-        robust_accuracy_conditioned=ref.robust_acc_conditioned,
-        robust_accuracy_overall=ref.robust_acc_overall,
-        n_samples=n_samples,
-        n_detected=n_detected,
-    )
+    return AttackReport(samples=tuple(outcomes), summary=tuple(summary))
 
 
 def generate_training_adversaries(records, pool: BenignPool, cfg: AttackConfig, count: int, seed: int):
@@ -437,13 +417,13 @@ def check_monotonicity(
     corpus: Corpus,
     trials: int = 1000,
     seed: int = 0,
-    tolerance: float = 1e-9,
 ) -> MonotonicityReport:
     """Score random non-negative integer feature additions on corpus graphs.
 
     For a fully non-negative model every trial must satisfy
-    score(x + delta) >= score(x) - tolerance; the input gradient is audited on
-    each distinct graph as well.  For other models the result is informational.
+    score(x + delta) >= score(x) - MONOTONICITY_TOLERANCE; the input gradient
+    is audited on each distinct graph as well.  For other models the result is
+    informational.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -476,7 +456,7 @@ def check_monotonicity(
         # A(X + delta) = AX + A delta, so the graph is prepared once
         after, _ = forward(model, replace(pg, ax=pg.ax + pg.adj @ delta))
         drop = base - after
-        if drop > tolerance:
+        if drop > MONOTONICITY_TOLERANCE:
             violations.append(MonotonicityViolation(g.graph_id, trial, base, after))
         max_drop = max(max_drop, drop)
 
@@ -540,7 +520,7 @@ def read_benign_pool(path) -> BenignPool:
 
 
 def write_attack_report(report: AttackReport, path, meta: dict | None = None) -> None:
-    """Self-describing per-sample table plus the success-rate curve and robust accuracy."""
+    """Self-describing per-sample table plus the success-rate curve and its last row's robust accuracy."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(ATTACK_REPORT_HEADER + "\n")
         for key, value in (meta or {}).items():
@@ -548,7 +528,7 @@ def write_attack_report(report: AttackReport, path, meta: dict | None = None) ->
         fh.write("[samples]\n")
         fh.write("graph_id\toverhead_pct\toriginal_score\tadv_score\tevaded\n")
         for outcome in report.samples:
-            for overhead in report.overheads:
+            for overhead in (s.overhead_pct for s in report.summary):
                 fh.write(
                     f"{outcome.graph_id}\t{float(overhead)!r}\t{outcome.original_score!r}"
                     f"\t{outcome.adv_scores[overhead]!r}\t{int(outcome.evaded[overhead])}\n"
@@ -563,6 +543,7 @@ def write_attack_report(report: AttackReport, path, meta: dict | None = None) ->
                 f"{float(s.overhead_pct)!r}\t{s.n_samples}\t{s.n_detected}\t{s.n_evaded}"
                 f"\t{s.success_rate!r}\t{s.robust_acc_conditioned!r}\t{s.robust_acc_overall!r}\n"
             )
-        fh.write(f"reference_overhead_pct\t{float(report.reference_overhead)!r}\n")
-        fh.write(f"robust_accuracy_conditioned\t{report.robust_accuracy_conditioned!r}\n")
-        fh.write(f"robust_accuracy_overall\t{report.robust_accuracy_overall!r}\n")
+        headline = report.summary[-1]
+        fh.write(f"reference_overhead_pct\t{float(headline.overhead_pct)!r}\n")
+        fh.write(f"robust_accuracy_conditioned\t{headline.robust_acc_conditioned!r}\n")
+        fh.write(f"robust_accuracy_overall\t{headline.robust_acc_overall!r}\n")

@@ -122,10 +122,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gen-corpus", help="generate a synthetic labeled corpus")
     common(p, strict=False)
     p.add_argument("--out", required=True, help="corpus output path")
-    p.add_argument("--n-benign", type=int, default=1500)
-    p.add_argument("--n-malware", type=int, default=1500)
-    p.add_argument("--node-min", type=int, default=5)
-    p.add_argument("--node-max", type=int, default=200)
+    p.add_argument("--n-benign", type=int, default=SynthConfig.n_benign)
+    p.add_argument("--n-malware", type=int, default=SynthConfig.n_malware)
+    p.add_argument("--node-min", type=int, default=SynthConfig.node_count_min)
+    p.add_argument("--node-max", type=int, default=SynthConfig.node_count_max)
     p.add_argument("--split", type=_parse_csv_counts, default=None, help="e.g. 2000,500,500 writes .train/.val/.test files")
     p.add_argument("--pool-out", default=None, help="benign pool output (default: <out>.pool)")
     p.add_argument("--manifest-out", default=None, help="manifest output (default: <out>.manifest)")
@@ -145,17 +145,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--model", required=True, help="model output path")
     p.add_argument("--out", default=None, help="optional training report path")
-    p.add_argument("--nonneg-gcn", type=_parse_bool, default=False)
-    p.add_argument("--nonneg-gclf", type=_parse_bool, default=False)
+    p.add_argument("--nonneg-gcn", type=_parse_bool, default=TrainConfig.nonneg_gcn)
+    p.add_argument("--nonneg-gclf", type=_parse_bool, default=TrainConfig.nonneg_gclf)
     p.add_argument("--adv-train", type=_parse_count, default=0, metavar="COUNT", help="add COUNT attack-generated malware graphs to the training corpus")
-    p.add_argument("--patience", type=int, default=3)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--lr", type=float, default=0.008)
-    p.add_argument("--readout", choices=READOUTS, default="avg", help="stored in the model file")
-    p.add_argument("--h1", type=int, default=500)
-    p.add_argument("--h2", type=int, default=250)
-    p.add_argument("--hg", type=int, default=64)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--readout", choices=READOUTS, default=TrainConfig.readout, help="stored in the model file")
+    p.add_argument("--h1", type=int, default=TrainConfig.h1)
+    p.add_argument("--h2", type=int, default=TrainConfig.h2)
+    p.add_argument("--hg", type=int, default=TrainConfig.hg)
 
     p = sub.add_parser("eval", help="score a labeled corpus and write a metrics report")
     common(p, seed=False)
@@ -172,10 +172,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--pool", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--overheads", type=_parse_csv_floats, default=None)
-    p.add_argument("--modes", type=_parse_csv_names, default=None)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--reference-overhead", type=float, default=None)
+    p.add_argument("--overheads", type=_parse_csv_floats, default=AttackConfig.overheads)
+    p.add_argument("--modes", type=_parse_csv_names, default=AttackConfig.modes)
+    p.add_argument("--trials", type=int, default=AttackConfig.trials_per_sample)
 
     p = sub.add_parser("check-monotone", help="audit monotonicity on a corpus")
     common(p)
@@ -312,13 +311,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    cfg_kwargs = {"seed": args.seed, "trials_per_sample": args.trials}
-    if args.overheads is not None:
-        cfg_kwargs["overheads"] = args.overheads
-    if args.modes is not None:
-        cfg_kwargs["modes"] = args.modes
     try:
-        cfg = AttackConfig(**cfg_kwargs)
+        cfg = AttackConfig(overheads=args.overheads, modes=args.modes, seed=args.seed, trials_per_sample=args.trials)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -332,17 +326,7 @@ def _cmd_attack(args) -> int:
     vocab = read_vocabulary(args.vocab)
     model = load_model(args.model, vocab)
     pool = read_benign_pool(args.pool)
-    try:
-        report = attack_sweep(
-            model,
-            vocab,
-            Corpus(tuple(malware), dict(corpus.provenance)),
-            pool,
-            cfg,
-            reference_overhead=args.reference_overhead,
-        )
-    except ValueError as exc:  # attack_sweep checks its arguments before it attacks anything
-        raise UsageError(str(exc)) from exc
+    report = attack_sweep(model, vocab, Corpus(tuple(malware), dict(corpus.provenance)), pool, cfg)
     meta = {
         "tool_version": __version__,
         "seed": args.seed,
@@ -354,10 +338,11 @@ def _cmd_attack(args) -> int:
         "readout": model.readout,
     }
     write_attack_report(report, args.out, meta)
+    headline = report.summary[-1]
     print(
-        f"attacked {report.n_samples} samples ({report.n_detected} originally detected); "
-        f"robust accuracy at {report.reference_overhead:g}% overhead: "
-        f"conditioned={report.robust_accuracy_conditioned:.4f} overall={report.robust_accuracy_overall:.4f}"
+        f"attacked {headline.n_samples} samples ({headline.n_detected} originally detected); "
+        f"robust accuracy at {headline.overhead_pct:g}% overhead: "
+        f"conditioned={headline.robust_acc_conditioned:.4f} overall={headline.robust_acc_overall:.4f}"
     )
     return EXIT_OK
 
@@ -368,6 +353,7 @@ def _cmd_check_monotone(args) -> int:
     corpus = read_corpus(args.corpus, strict=args.strict)
     vocab = read_vocabulary(args.vocab)
     model = load_model(args.model, vocab)
+    report = check_monotonicity(model, vocab, corpus, trials=args.trials, seed=args.seed)
     negative = [name for name in GCN_WEIGHTS + GCLF_WEIGHTS if (getattr(model, name) < 0.0).any()]
     if negative:
         print(f"certificate: none; negative entries in {', '.join(negative)}")
@@ -376,7 +362,6 @@ def _cmd_check_monotone(args) -> int:
             "certificate: w_gcn1, w_gcn2, w_hidden and w_out are non-negative, so for a fixed call graph the score is "
             "non-decreasing in every token count; adding functions changes the normalization and is not covered"
         )
-    report = check_monotonicity(model, vocab, corpus, trials=args.trials, seed=args.seed)
     status = "informational" if report.informational else "enforced"
     print(
         f"{report.trials} trials, {len(report.violations)} violations ({status}); "

@@ -41,8 +41,8 @@ class TrainConfig:
     nonneg_gclf: bool = False
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be a finite number > 0")
         if min(self.batch_size, self.patience, self.max_epochs, self.h1, self.h2, self.hg) < 1:
             raise ValueError("batch_size, patience, max_epochs, and layer sizes must be >= 1")
 
@@ -139,7 +139,7 @@ def _eval_split(params: ModelParams, prepared, labels):
 def train(
     train_corpus: Corpus, val_corpus: Corpus, vocab: Vocabulary, cfg: TrainConfig
 ) -> tuple[ModelParams, TrainReport]:
-    """Train from scratch; returns the best-validation-epoch weights, re-projected.
+    """Train from scratch; returns the (projected) weights of the best validation epoch.
 
     Deterministic for a fixed (corpora, vocabulary, config): weight init and
     epoch shuffles both derive from cfg.seed.
@@ -160,7 +160,6 @@ def train(
     adam = _Adam({k: v.shape for k, v in params.weights().items()}, lr=cfg.learning_rate)
     stopper = EarlyStopper(cfg.patience)
 
-    best_params = params.copy()
     epochs: list[EpochStats] = []
     stopping_reason = "max_epochs"
 
@@ -193,18 +192,16 @@ def train(
                 val_acc=val_acc,
             )
         )
-        improved = val_loss < stopper.best_loss
         should_stop = stopper.update(epoch, val_loss)
-        if improved:
+        if stopper.best_epoch == epoch:
             best_params = params.copy()
         if should_stop:
             stopping_reason = "early_stopping"
             break
 
-    final = project_nonnegative(best_params)
     audit = {
-        name: {"governed": name in final.governed_names(), "min_entry": float(w.min())}
-        for name, w in final.weights().items()
+        name: {"governed": name in best_params.governed_names(), "min_entry": float(w.min())}
+        for name, w in best_params.weights().items()
     }
     report = TrainReport(
         epochs=tuple(epochs),
@@ -212,7 +209,7 @@ def train(
         stopping_reason=stopping_reason,
         nonneg_audit=audit,
     )
-    return final, report
+    return best_params, report
 
 
 def write_train_report(report: TrainReport, path, meta: dict | None = None) -> None:

@@ -296,10 +296,10 @@ class TestAttackSweep:
         vocab, pool, nonneg, _, malware = trained_setup
         cfg = AttackConfig(overheads=(0.0, 50.0, 200.0, 500.0), modes=("inject_existing",), seed=17)
         report = attack_sweep(nonneg, vocab, malware, pool, cfg)
-        assert report.n_detected > 0
+        assert report.summary[-1].n_detected > 0
         for summary in report.summary:
             assert summary.n_evaded == 0
-        assert report.robust_accuracy_conditioned == 1.0
+        assert report.summary[-1].robust_acc_conditioned == 1.0
 
     def test_scores_non_decreasing_in_overhead_for_nonneg_inject_existing(self, trained_setup):
         vocab, pool, nonneg, _, malware = trained_setup
@@ -382,7 +382,7 @@ class TestAttackSweep:
     def test_empty_corpus_gives_empty_report(self, trained_setup):
         vocab, pool, _, plain, _ = trained_setup
         report = attack_sweep(plain, vocab, Corpus(()), pool, AttackConfig(overheads=(0.0, 10.0)))
-        assert report.n_samples == 0
+        assert report.summary[-1].n_samples == 0
         assert report.samples == ()
 
     def test_report_file_is_self_describing_and_complete(self, trained_setup, tmp_path):
@@ -397,8 +397,13 @@ class TestAttackSweep:
         sample_rows = [
             l for l in lines[lines.index("[samples]") + 2 : lines.index("[summary]")]
         ]
-        assert len(sample_rows) == report.n_samples * len(cfg.overheads)
-        assert any(l.startswith("robust_accuracy_conditioned\t") for l in lines)
+        assert len(sample_rows) == len(report.samples) * len(cfg.overheads)
+        headline = report.summary[-1]
+        assert lines[-3:] == [
+            "reference_overhead_pct\t100.0",
+            f"robust_accuracy_conditioned\t{headline.robust_acc_conditioned!r}",
+            f"robust_accuracy_overall\t{headline.robust_acc_overall!r}",
+        ]
 
 
 class TestTrainingAdversaries:

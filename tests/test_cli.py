@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import json
 import re
 import shlex
@@ -20,7 +21,7 @@ from mal2gcn.attack import (
 )
 from mal2gcn.cli import _COMMANDS, EXIT_CHECK_FAILED, EXIT_DATA, EXIT_OK, EXIT_USAGE, _build_parser, run
 from mal2gcn.fcg import Corpus, LABEL_MALWARE, read_corpus
-from mal2gcn.featurize import Vocabulary, read_vocabulary, write_vocabulary
+from mal2gcn.featurize import Vocabulary, build_vocabulary, read_vocabulary, write_vocabulary
 from mal2gcn.gcn import load_model, save_model, score_graphs
 from mal2gcn.metrics import compute_metrics, write_metrics_report
 from mal2gcn.train import TrainConfig, train
@@ -129,7 +130,7 @@ class TestPipeline:
         assert roc_lines[0] == "fpr,tpr,threshold"
         assert len(roc_lines) > 2
 
-    def test_attack_sweep_and_report(self, workspace):
+    def test_attack_sweep_and_report(self, workspace, capsys):
         root, corpus, vocab, model = workspace
         out = root / "attack.tsv"
         code = run(
@@ -147,6 +148,14 @@ class TestPipeline:
         for line in text.splitlines()[summary_start + 2 :]:
             if line and line[0].isdigit():
                 assert line.split("\t")[3] == "0"  # n_evaded column
+        # the stdout line restates the last summary row, as the report's last three lines do
+        last_row = text.splitlines()[-4].split("\t")
+        assert last_row[0] == "200.0"
+        [line] = capsys.readouterr().out.splitlines()
+        assert line == (
+            f"attacked {last_row[1]} samples ({last_row[2]} originally detected); robust accuracy at 200% overhead: "
+            f"conditioned={float(last_row[5]):.4f} overall={float(last_row[6]):.4f}"
+        )
 
     def test_adversarial_training_summary_names_the_graphs_added_and_the_pool_size(self, workspace, tmp_path, capsys):
         _, corpus, vocab, _ = workspace
@@ -335,6 +344,8 @@ class TestExitCodes:
             ["build-vocab", "--prefilter", "-5"],
             ["train", "--epochs", "0"],
             ["train", "--lr", "0"],
+            ["train", "--lr", "nan"],
+            ["train", "--lr", "inf"],
             ["train", "--seed", "-1"],
             ["train", "--adv-train", "-5"],
             ["train", "--pool", "no-such-pool"],
@@ -553,11 +564,11 @@ class TestExitCodes:
             (["--overheads", "50,50"], "overheads must be strictly ascending"),
             (["--trials", "0"], "trials_per_sample must be >= 1"),
             (["--modes", "bogus"], "modes must be a non-empty subset"),
-            (["--overheads", "0,50", "--reference-overhead", "7"], "reference overhead must be one of the scheduled"),
+            (["--reference-overhead", "5"], "unrecognized arguments: --reference-overhead 5"),
             (["--overheads", ""], "overheads must name at least one overhead"),
-            (["--overheads", ",", "--reference-overhead", "5"], "overheads must name at least one overhead"),
+            (["--overheads", ","], "overheads must name at least one overhead"),
         ],
-        ids=["nan", "inf", "1e300", "duplicate", "trials0", "bogus-mode", "reference-not-scheduled", "empty", "comma"],
+        ids=["nan", "inf", "1e300", "duplicate", "trials0", "bogus-mode", "reference-overhead-gone", "empty", "comma"],
     )
     def test_bad_attack_arguments_are_usage_errors(self, workspace, tmp_path, capsys, flags, message):
         _, corpus, vocab, model = workspace
@@ -582,6 +593,30 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "mal2gcn: usage error: --trials must be at least 1\n"
+
+    def test_check_monotone_on_empty_corpus_is_data_error_with_nothing_printed(self, workspace, tmp_path, capsys):
+        _, _, vocab, model = workspace
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        code = run(["check-monotone", "--corpus", str(empty), "--vocab", str(vocab), "--model", str(model)])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "mal2gcn: data error: monotonicity check needs a non-empty corpus\n"
+
+    @pytest.mark.parametrize(
+        "command, dest, function, keyword",
+        [
+            ("build-vocab", "k_api", build_vocabulary, "k_api"),
+            ("build-vocab", "k_str", build_vocabulary, "k_str"),
+            ("build-vocab", "prefilter", build_vocabulary, "prefilter_per_kind"),
+            ("check-monotone", "trials", check_monotonicity, "trials"),
+        ],
+        ids=["build-vocab --k-api", "build-vocab --k-str", "build-vocab --prefilter", "check-monotone --trials"],
+    )
+    def test_option_defaults_equal_the_library_keyword_defaults(self, command, dest, function, keyword):
+        commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+        assert commands[command].get_default(dest) == inspect.signature(function).parameters[keyword].default
 
     def test_readme_walkthrough_parses(self):
         # every `mal2gcn ...` command in README.md, continuation lines joined, parses without running

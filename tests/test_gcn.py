@@ -201,6 +201,28 @@ class TestForward:
                 p2, _ = forward(m, prepare_graph(adj, 2 * x))
                 assert p2 >= p1
 
+    @pytest.mark.parametrize("readout", ["avg", "sum", "max"])
+    def test_empty_called_function_can_lower_a_nonneg_score(self, readout):
+        # the monotonicity certificate holds for a fixed call graph only: an empty
+        # function called from n1 changes the normalization and lowers the score
+        rng = np.random.default_rng(0)
+        d, h1, h2, hg = 3, 2, 2, 2
+        m = ModelParams(
+            w_gcn1=rng.random((d, h1)),
+            w_gcn2=rng.random((h1, h2)),
+            w_hidden=rng.random((h2, hg)),
+            b_hidden=rng.random(hg),
+            w_out=rng.random(hg),
+            b_out=rng.random(1) - 2.0,
+            nonneg_gcn=True,
+            nonneg_gclf=True,
+            readout=readout,
+        )
+        x = rng.integers(0, 3, size=(2, d)).astype(float)
+        before, _ = forward(m, prepare_graph(build_normalized_adjacency(chain_graph(2)), x))
+        after, _ = forward(m, prepare_graph(build_normalized_adjacency(chain_graph(3)), np.vstack([x, np.zeros(d)])))
+        assert after < before - 1e-3
+
     def test_dimension_mismatch_rejected(self, rng):
         m = random_params(rng, d=3, h1=2, h2=2, hg=2)
         adj = build_normalized_adjacency(chain_graph(2))
