@@ -34,16 +34,20 @@ VARIANTS = {
 }
 
 
-def main():
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", type=Path, default=Path("pipeline_out"))
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--n-benign", type=int, default=1500)
-    parser.add_argument("--n-malware", type=int, default=1500)
+    parser.add_argument("--n-benign", type=int, default=SynthConfig.n_benign)
+    parser.add_argument("--n-malware", type=int, default=SynthConfig.n_malware)
     parser.add_argument("--split", default="2000,500,500")
     parser.add_argument("--epochs", type=int, default=15)
     parser.add_argument("--attack-overhead", type=float, choices=DEFAULT_OVERHEADS, default=200.0)
-    args = parser.parse_args()
+    return parser
+
+
+def main():
+    args = build_parser().parse_args()
 
     work = args.workdir
     work.mkdir(parents=True, exist_ok=True)

@@ -6,6 +6,7 @@ Exit codes are a stable contract: 0 success, 1 usage error, 2 data error,
 """
 
 import argparse
+import errno
 import hashlib
 import logging
 import sys
@@ -88,7 +89,8 @@ def _file_digest(path) -> str:
 
 
 def _check_no_overwrite(args) -> None:
-    """Refuse output paths that would clobber this invocation's inputs, however they are spelled."""
+    """Refuse, before any input is read, an output path that would clobber one of this
+    invocation's inputs, however it is spelled, or that lies in a missing directory."""
     inputs = {
         Path(getattr(args, name)).resolve()
         for name in ("corpus", "val", "vocab", "pool")
@@ -106,6 +108,8 @@ def _check_no_overwrite(args) -> None:
     for out in outputs:
         if Path(out).resolve() in inputs:
             raise UsageError(f"output path {out} would overwrite an input")
+        if not Path(out).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, "no such directory", out)
 
 
 def _build_parser() -> _Parser:
@@ -286,6 +290,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     corpus = read_corpus(args.corpus, strict=args.strict)
+    if len(corpus) == 0:
+        raise DataError(f"{args.corpus}: empty corpus")
     vocab = read_vocabulary(args.vocab)
     model = load_model(args.model, vocab)
     for g in corpus:

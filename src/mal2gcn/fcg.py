@@ -7,10 +7,14 @@ The interchange format is newline-delimited JSON, one graph per line:
      "edges": [["caller", "callee"], ...]}
 
 All types are immutable after construction and safe to share across workers.
+Parsed strings are interned: a corpus holds one object per distinct token or
+node id, and each edge endpoint is its node's id object, so a parsed corpus
+grows with its distinct strings, not with its token occurrences.
 """
 
 import json
 import logging
+import sys
 from dataclasses import dataclass, field
 
 logger = logging.getLogger("mal2gcn")
@@ -30,7 +34,7 @@ class FormatError(DataError):
     """An interchange or report file is malformed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionNode:
     """One function: its id, the API names it calls, and the strings it references.
 
@@ -183,8 +187,21 @@ def _check_keys(obj: dict, allowed: set[str], where: str, strict: bool) -> None:
         logger.warning("%s: ignoring unknown field(s) %s", where, names)
 
 
+def _interned(items) -> tuple[str, ...] | None:
+    """The items of a JSON array of strings, interned; None if `items` is anything else."""
+    if isinstance(items, list):
+        try:
+            return tuple(map(sys.intern, items))
+        except TypeError:  # sys.intern takes only str
+            pass
+    return None
+
+
 def record_to_fcg(obj: dict, where: str = "record", strict: bool = True) -> Fcg:
-    """Decode one interchange object into an Fcg, checking field names and types."""
+    """Decode one interchange object into an Fcg, checking field names and types.
+
+    Every token, node id and edge endpoint must be a str, and is interned.
+    """
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: expected an object")
     _check_keys(obj, _RECORD_KEYS, where, strict)
@@ -207,19 +224,21 @@ def record_to_fcg(obj: dict, where: str = "record", strict: bool = True) -> Fcg:
         _check_keys(node_obj, _NODE_KEYS, node_where, strict)
         if _NODE_KEYS - set(node_obj):
             raise FormatError(f"{node_where}: missing field(s)")
-        if not isinstance(node_obj["id"], str):
+        if type(node_obj["id"]) is not str:
             raise FormatError(f"{node_where}: id must be a string")
-        for key in ("apis", "strings"):
-            tokens = node_obj[key]
-            if not isinstance(tokens, list) or any(not isinstance(t, str) for t in tokens):
-                raise FormatError(f"{node_where}: {key} must be an array of strings")
-        nodes.append(FunctionNode(node_obj["id"], tuple(node_obj["apis"]), tuple(node_obj["strings"])))
+        apis = _interned(node_obj["apis"])
+        strings = _interned(node_obj["strings"])
+        if apis is None or strings is None:
+            key = "apis" if apis is None else "strings"
+            raise FormatError(f"{node_where}: {key} must be an array of strings")
+        nodes.append(FunctionNode(sys.intern(node_obj["id"]), apis, strings))
 
     edges = []
     for k, pair in enumerate(obj["edges"]):
-        if not isinstance(pair, list) or len(pair) != 2 or any(not isinstance(e, str) for e in pair):
+        edge = _interned(pair)
+        if edge is None or len(edge) != 2:
             raise FormatError(f"{where} edge {k}: expected a [caller, callee] string pair")
-        edges.append((pair[0], pair[1]))
+        edges.append(edge)
 
     if not isinstance(obj["graph_id"], str) or not isinstance(obj["main"], str):
         raise FormatError(f"{where}: graph_id and main must be strings")

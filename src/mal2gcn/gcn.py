@@ -8,9 +8,13 @@ them from the model.
 
 A graph's adjacency, token counts and their product are CSR matrices built
 from index arrays, so its memory grows with nodes + edges, not nodes squared;
-weights and activations are dense float64.  The convolution layers carry no
-bias; the classifier head does, and biases are exempt from the non-negative
-projection because an additive constant never breaks monotonicity.
+weights and activations are dense float64.  A forward pass keeps three
+per-node arrays alive (h1, adjacency @ h1 and h2): each ReLU runs in place,
+and backward masks with the activation, since relu(z) > 0 exactly where z > 0.
+
+The convolution layers carry no bias; the classifier head does, and biases
+are exempt from the non-negative projection because an additive constant
+never breaks monotonicity.
 """
 
 from dataclasses import dataclass, replace
@@ -180,15 +184,12 @@ class _BatchCache:
     offsets: np.ndarray  # (B+1,) row offsets into the stacked node arrays
     ax_stack: sparse.csr_matrix  # (N, d) vertically stacked adjacency @ features
     adj_block: sparse.csr_matrix  # (N, N) block-diagonal normalized adjacency
-    z1: np.ndarray  # (N, h1) pre-activation of conv layer 1
-    h1: np.ndarray
+    h1: np.ndarray  # (N, h1) relu(ax_stack @ w_gcn1)
     m2: np.ndarray  # (N, h1) adjacency @ h1
-    z2: np.ndarray  # (N, h2)
-    h2: np.ndarray
+    h2: np.ndarray  # (N, h2) relu(m2 @ w_gcn2)
     g: np.ndarray  # (B, h2) graph readout
-    z3: np.ndarray  # (B, hg)
-    hh: np.ndarray
-    z4: np.ndarray  # (B,)
+    hh: np.ndarray  # (B, hg) relu(g @ w_hidden + b_hidden)
+    z4: np.ndarray  # (B,) output logit
     p: np.ndarray  # (B,)
 
 
@@ -207,11 +208,13 @@ def _forward_batch(m: ModelParams, prepared: list) -> _BatchCache:
         ax_stack = sparse.vstack([pg.ax for pg in prepared], format="csr")
         adj_block = sparse.block_diag([pg.adj for pg in prepared], format="csr")
 
-    z1 = ax_stack @ m.w_gcn1
-    h1 = np.maximum(z1, 0.0)
+    # each relu runs in place on the product just allocated for it, never on a
+    # weight or a PreparedGraph field, so no pre-activation stays alive
+    h1 = ax_stack @ m.w_gcn1
+    np.maximum(h1, 0.0, out=h1)
     m2 = adj_block @ h1
-    z2 = m2 @ m.w_gcn2
-    h2 = np.maximum(z2, 0.0)
+    h2 = m2 @ m.w_gcn2
+    np.maximum(h2, 0.0, out=h2)
 
     starts = offsets[:-1]
     if m.readout == "avg":
@@ -221,11 +224,11 @@ def _forward_batch(m: ModelParams, prepared: list) -> _BatchCache:
     else:
         g = np.maximum.reduceat(h2, starts, axis=0)
 
-    z3 = g @ m.w_hidden + m.b_hidden
-    hh = np.maximum(z3, 0.0)
+    hh = g @ m.w_hidden + m.b_hidden
+    np.maximum(hh, 0.0, out=hh)
     z4 = hh @ m.w_out + m.b_out[0]
     p = expit(z4)
-    return _BatchCache(prepared, sizes, offsets, ax_stack, adj_block, z1, h1, m2, z2, h2, g, z3, hh, z4, p)
+    return _BatchCache(prepared, sizes, offsets, ax_stack, adj_block, h1, m2, h2, g, hh, z4, p)
 
 
 def _backward_batch(m: ModelParams, cache: _BatchCache, dz4: np.ndarray, need_input_grads: bool = False):
@@ -239,7 +242,7 @@ def _backward_batch(m: ModelParams, cache: _BatchCache, dz4: np.ndarray, need_in
     d_w_out = cache.hh.T @ dz4
     d_b_out = np.array([dz4.sum()])
     d_hh = np.outer(dz4, m.w_out)
-    d_z3 = d_hh * (cache.z3 > 0.0)
+    d_z3 = d_hh * (cache.hh > 0.0)
     d_w_hidden = cache.g.T @ d_z3
     d_b_hidden = d_z3.sum(axis=0)
     d_g = d_z3 @ m.w_hidden.T
@@ -257,12 +260,12 @@ def _backward_batch(m: ModelParams, cache: _BatchCache, dz4: np.ndarray, need_in
             winners = cache.h2[lo:hi].argmax(axis=0)
             d_h2[lo + winners, cols] = d_g[i]
 
-    d_z2 = d_h2 * (cache.z2 > 0.0)
+    d_z2 = d_h2 * (cache.h2 > 0.0)
     d_w_gcn2 = cache.m2.T @ d_z2
     d_m2 = d_z2 @ m.w_gcn2.T
 
     d_h1 = cache.adj_block.T @ d_m2
-    d_z1 = d_h1 * (cache.z1 > 0.0)
+    d_z1 = d_h1 * (cache.h1 > 0.0)
     d_w_gcn1 = cache.ax_stack.T @ d_z1
 
     input_grads = None

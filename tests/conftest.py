@@ -210,10 +210,11 @@ def make_safe_instance(seed, readout):
         x = rng.integers(0, 5, size=(n, d)).astype(float)
         y = int(rng.integers(2))
         _, cache = forward(m, prepare_graph(adj, x))
+        # the cache keeps activations only; the pre-activations are the same products again
         margin = min(
-            np.abs(cache.z1).min(initial=1.0),
-            np.abs(cache.z2).min(initial=1.0),
-            np.abs(cache.z3).min(initial=1.0),
+            np.abs(cache.ax_stack @ m.w_gcn1).min(initial=1.0),
+            np.abs(cache.m2 @ m.w_gcn2).min(initial=1.0),
+            np.abs(cache.g @ m.w_hidden + m.b_hidden).min(initial=1.0),
         )
         tie_gap = 1.0
         if m.readout == "max" and n > 1:

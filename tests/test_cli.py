@@ -368,6 +368,33 @@ class TestExitCodes:
         assert err.startswith("mal2gcn: usage error: ") and err.count("\n") == 1 and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["train", "eval", "gen-corpus", "attack"])
+    def test_output_in_missing_directory_fails_before_any_work(self, workspace, tmp_path, capsys, command):
+        _, corpus, vocab, model = workspace
+        missing = tmp_path / "missing" / "out.txt"
+        inputs = ["--corpus", f"{corpus}.test", "--vocab", str(vocab), "--model", str(model)]
+        argv = {
+            "train": ["train", "--corpus", f"{corpus}.train", "--val", f"{corpus}.val", "--vocab", str(vocab),
+                      "--model", str(tmp_path / "m.txt"), "--out", str(missing)],
+            "eval": ["eval", *inputs, "--out", str(tmp_path / "r.txt"), "--roc-out", str(missing)],
+            "gen-corpus": ["gen-corpus", "--out", str(tmp_path / "c.jsonl"), "--n-benign", "5", "--n-malware", "5",
+                           "--manifest-out", str(missing)],
+            "attack": ["attack", *inputs, "--pool", f"{corpus}.pool", "--out", str(missing)],
+        }[command]
+        assert run(argv) == EXIT_DATA
+        assert capsys.readouterr().err == f"mal2gcn: data error: {missing}: no such file\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_eval_of_empty_corpus_is_data_error(self, workspace, tmp_path, capsys):
+        _, _, vocab, model = workspace
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "metrics.txt"
+        code = run(["eval", "--corpus", str(empty), "--vocab", str(vocab), "--model", str(model), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"mal2gcn: data error: {empty}: empty corpus\n"
+        assert not out.exists()
+
     def test_attack_on_corpus_without_malware_is_data_error(self, workspace, tmp_path, capsys):
         _, corpus, vocab, model = workspace
         benign = tmp_path / "benign.jsonl"

@@ -200,3 +200,49 @@ class TestInterchange:
         path = tmp_path / "u.jsonl"
         write_corpus(Corpus((g,)), path)
         assert read_corpus(path).records[0] == g
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("apis", ["A", 7]), ("strings", [None]), ("id", 3)],
+    )
+    def test_non_string_token_or_id_is_a_format_error(self, field, bad):
+        obj = fcg_to_record(graph(["main"], []))
+        obj["nodes"][0][field] = bad
+        with pytest.raises(FormatError, match="string"):
+            record_to_fcg(obj)
+
+
+class TestInterning:
+    """A parsed corpus holds one object per distinct string, however often it occurs."""
+
+    def test_equal_tokens_and_ids_share_one_object_across_nodes_and_graphs(self, tmp_path):
+        # built by concatenation so that no two equal strings start as the same object
+        def s(text):
+            return "".join(list(text))
+
+        def node(node_id):
+            return FunctionNode(s(node_id), (s("CreateFileW"), s("CreateFileW")), (s("hello world"),))
+
+        graphs = [
+            Fcg(s(f"g{k}"), "benign", s("main"), (node("main"), node("f1")), ((s("main"), s("f1")),))
+            for k in range(2)
+        ]
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(Corpus(tuple(graphs)), path)
+        records = read_corpus(path).records
+
+        apis = [api for g in records for n in g.nodes for api in n.apis]
+        strings = [text for g in records for n in g.nodes for text in n.strings]
+        assert len(apis) == 8 and all(api is apis[0] for api in apis)
+        assert len(strings) == 4 and all(text is strings[0] for text in strings)
+        assert records[0].nodes[0].id is records[1].nodes[0].id
+        for g in records:
+            ids = {n.id: n.id for n in g.nodes}
+            for caller, callee in g.edges:
+                assert caller is ids[caller] and callee is ids[callee]
+
+    def test_nodes_carry_no_instance_dict(self):
+        node = FunctionNode("main", ("A",), ("b",))
+        assert not hasattr(node, "__dict__")
+        with pytest.raises(AttributeError):
+            node.id = "other"

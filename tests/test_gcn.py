@@ -164,6 +164,23 @@ class TestPreparationMemory:
         assert peak < 64 * 2**20
 
 
+class TestForwardMemory:
+    """A forward pass keeps three per-node arrays alive: h1, adjacency @ h1 and h2."""
+
+    def test_20k_node_chain_scores_within_three_live_activations(self):
+        n, d, h1, h2 = 20_000, 8, 64, 32
+        rng = np.random.default_rng(0)
+        m = random_params(rng, d, h1, h2, 8)
+        pg = prepare_graph(build_normalized_adjacency(chain_graph(n)), rng.integers(0, 3, size=(n, d)))
+        tracemalloc.start()
+        try:
+            score_prepared(m, [pg])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * (2 * h1 + h2) * n * 8
+
+
 def tiny_identity_model():
     return ModelParams(
         w_gcn1=np.ones((1, 1)),

@@ -1,10 +1,21 @@
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from mal2gcn.synth import SynthConfig
+
 ROOT = Path(__file__).resolve().parent.parent
 VARIANTS = ("plain", "gcn-nonneg", "full-nonneg")
+
+
+def test_run_pipeline_corpus_size_defaults_are_the_library_defaults():
+    spec = importlib.util.spec_from_file_location("run_pipeline", ROOT / "scripts" / "run_pipeline.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    args = module.build_parser().parse_args([])
+    assert (args.n_benign, args.n_malware) == (SynthConfig.n_benign, SynthConfig.n_malware)
 
 
 def test_run_pipeline_writes_every_artifact_and_the_summary(tmp_path):
