@@ -34,28 +34,41 @@ VARIANTS = {
 }
 
 
+def parse_split(text: str) -> tuple[int, int, int]:
+    """Train, validation and test sizes: exactly three comma-separated non-negative integers."""
+    try:
+        sizes = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        sizes = ()
+    if len(sizes) != 3 or min(sizes) < 0:
+        raise argparse.ArgumentTypeError(f"expected three comma-separated non-negative integers, got {text!r}")
+    return sizes
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", type=Path, default=Path("pipeline_out"))
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--n-benign", type=int, default=SynthConfig.n_benign)
     parser.add_argument("--n-malware", type=int, default=SynthConfig.n_malware)
-    parser.add_argument("--split", default="2000,500,500")
+    parser.add_argument("--split", type=parse_split, default=(2000, 500, 500))
     parser.add_argument("--epochs", type=int, default=15)
     parser.add_argument("--attack-overhead", type=float, choices=DEFAULT_OVERHEADS, default=200.0)
     return parser
 
 
 def main():
-    args = build_parser().parse_args()
+    parser = build_parser()
+    args = parser.parse_args()
+    if sum(args.split) > args.n_benign + args.n_malware:
+        parser.error(f"--split sizes sum to {sum(args.split)} but the corpus has {args.n_benign + args.n_malware} graphs")
 
     work = args.workdir
     work.mkdir(parents=True, exist_ok=True)
-    sizes = tuple(int(s) for s in args.split.split(","))
 
     print(f"== generating corpus (seed {args.seed}) ==", flush=True)
     corpus, pool = generate_corpus(SynthConfig(n_benign=args.n_benign, n_malware=args.n_malware, seed=args.seed))
-    tr, va, te = split_corpus(corpus, sizes)
+    tr, va, te = split_corpus(corpus, args.split)
     for name, part in (("train", tr), ("val", va), ("test", te)):
         write_corpus(part, work / f"corpus.{name}.jsonl")
     write_benign_pool(pool, work / "benign.pool")

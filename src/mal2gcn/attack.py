@@ -7,7 +7,7 @@ percentage of the victim graph's original token count.
 """
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -30,7 +30,6 @@ from .gcn import (
     forward,
     input_gradient,
     normalized_adjacency,
-    prepare_fcg,
     prepare_graph,
     score_prepared,
 )
@@ -40,7 +39,6 @@ MODES = ("inject_existing", "add_dead_nodes")
 TARGET_FRACTION = 0.5  # inject_existing appends to a random half of the functions
 TOKENS_PER_DEAD_NODE = 20  # add_dead_nodes puts this many tokens in each new function
 MAX_OVERHEAD_PCT = 10000.0  # 20x the default schedule's largest overhead
-MONOTONICITY_TOLERANCE = 1e-9  # score drop the audit forgives as float rounding
 
 POOL_HEADER = "#mal2gcn-pool v1"
 ATTACK_REPORT_HEADER = "#mal2gcn-attack v1"
@@ -402,7 +400,7 @@ class MonotonicityViolation:
 class MonotonicityReport:
     trials: int
     violations: tuple[MonotonicityViolation, ...]
-    max_violation: float  # largest score drop observed (0 when none)
+    max_violation: float  # largest score drop among the violations (0 when none)
     min_input_gradient: float
     informational: bool  # True when the model is not fully non-negative
 
@@ -420,10 +418,14 @@ def check_monotonicity(
 ) -> MonotonicityReport:
     """Score random non-negative integer feature additions on corpus graphs.
 
-    For a fully non-negative model every trial must satisfy
-    score(x + delta) >= score(x) - MONOTONICITY_TOLERANCE; the input gradient
-    is audited on each distinct graph as well.  For other models the result is
-    informational.
+    Each trial is prepared by _prepare_attacked, bitwise as prepare_fcg
+    prepares the edited graph.  A fully non-negative model must never score
+    a trial's logit strictly below the unedited graph's: every term is
+    non-negative until the biases, round-to-nearest sums and products are
+    monotone, and an added count only inserts terms into sums kept in order,
+    so float64 needs no tolerance.  Logits are compared since expit need not
+    be monotone in float64; reports give probabilities.  The input gradient
+    is audited on each distinct graph too.  Other models are informational.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -431,39 +433,37 @@ def check_monotonicity(
         raise DataError("monotonicity check needs a non-empty corpus")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3A0]))
     graphs = [normalize_fcg(g) for g in corpus.records]
+    columns = np.arange(vocab.size)
+    none = np.zeros(0, dtype=np.int64)
     cached = {}
 
     violations = []
-    max_drop = 0.0
     min_grad = np.inf
     for trial in range(trials):
         gi = int(rng.integers(len(graphs)))
         g = graphs[gi]
         if gi not in cached:
-            pg = prepare_fcg(g, vocab)
-            base, _ = forward(model, pg)
+            adj = build_normalized_adjacency(g)
+            counts = embed_graph(g, vocab).counts
+            pg = prepare_graph(adj, counts)
+            base, cache = forward(model, pg)
             min_grad = min(min_grad, float(input_gradient(model, pg).min()))
-            cached[gi] = (pg, base)
-        pg, base = cached[gi]
+            cached[gi] = (adj, counts.tocoo(), base, cache.z4[0])
+        adj, counts, base, base_z4 = cached[gi]
 
         n_edits = int(rng.integers(1, 21))
-        rows = rng.integers(pg.n, size=n_edits)
-        cols = rng.integers(pg.ax.shape[1], size=n_edits)
+        rows = rng.integers(adj.n, size=n_edits)
+        cols = rng.integers(vocab.size, size=n_edits)
         amounts = rng.integers(1, 4, size=n_edits)
-        # repeated (row, col) draws add up
-        delta = sparse.csr_matrix((amounts.astype(np.float64), (rows, cols)), shape=pg.ax.shape)
-
-        # A(X + delta) = AX + A delta, so the graph is prepared once
-        after, _ = forward(model, replace(pg, ax=pg.ax + pg.adj @ delta))
-        drop = base - after
-        if drop > MONOTONICITY_TOLERANCE:
+        draw = _Draw(np.repeat(rows, amounts), np.repeat(cols, amounts), none, none)
+        after, cache = forward(model, _prepare_attacked(adj, counts, columns, draw))
+        if cache.z4[0] < base_z4:
             violations.append(MonotonicityViolation(g.graph_id, trial, base, after))
-        max_drop = max(max_drop, drop)
 
     return MonotonicityReport(
         trials=trials,
         violations=tuple(violations),
-        max_violation=max(0.0, max_drop),
+        max_violation=max([0.0] + [v.score_before - v.score_after for v in violations]),
         min_input_gradient=float(min_grad) if np.isfinite(min_grad) else 0.0,
         informational=not (model.nonneg_gcn and model.nonneg_gclf),
     )

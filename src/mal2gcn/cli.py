@@ -90,7 +90,8 @@ def _file_digest(path) -> str:
 
 def _check_no_overwrite(args) -> None:
     """Refuse, before any input is read, an output path that would clobber one of this
-    invocation's inputs, however it is spelled, or that lies in a missing directory."""
+    invocation's inputs or another of its outputs, however it is spelled, or that lies
+    in a missing directory."""
     inputs = {
         Path(getattr(args, name)).resolve()
         for name in ("corpus", "val", "vocab", "pool")
@@ -98,16 +99,20 @@ def _check_no_overwrite(args) -> None:
     }
     if args.command in ("eval", "attack", "check-monotone", "inspect") and getattr(args, "model", None):
         inputs.add(Path(args.model).resolve())
-    outputs = [
-        str(value)
-        for name in ("out", "roc_out", "pool_out", "manifest_out")
-        if (value := getattr(args, name, None))
-    ]
-    if args.command in ("train", "gen-corpus") and getattr(args, "model", None):
-        outputs.append(str(args.model))
+    outputs = [str(value) for name in ("out", "roc_out") if (value := getattr(args, name, None))]
+    if args.command == "train":
+        outputs.append(args.model)
+    if args.command == "gen-corpus":
+        pool_path, manifest_path, part_paths = _gen_corpus_paths(args)
+        outputs += [pool_path, manifest_path, *part_paths]
+    seen = {}
     for out in outputs:
-        if Path(out).resolve() in inputs:
+        path = Path(out).resolve()
+        if path in inputs:
             raise UsageError(f"output path {out} would overwrite an input")
+        if path in seen:
+            raise UsageError(f"output paths {seen[path]} and {out} name the same file")
+        seen[path] = out
         if not Path(out).parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, "no such directory", out)
 
@@ -210,21 +215,24 @@ def _cmd_gen_corpus(args) -> int:
     if args.split and sum(args.split) > args.n_benign + args.n_malware:
         raise UsageError(f"--split sizes sum to {sum(args.split)} but the corpus has {args.n_benign + args.n_malware} graphs")
     corpus, pool = generate_corpus(cfg)
+    pool_path, manifest_path, part_paths = _gen_corpus_paths(args)
     write_corpus(corpus, args.out)
-    pool_path = args.pool_out or f"{args.out}.pool"
     write_benign_pool(pool, pool_path)
-    manifest_path = args.manifest_out or f"{args.out}.manifest"
     write_manifest(cfg, manifest_path, {"corpus_sha256": _file_digest(args.out), "tool_version": __version__})
     if args.split:
-        for name, part in zip(_split_names(len(args.split)), split_corpus(corpus, args.split)):
-            write_corpus(part, f"{args.out}.{name}")
+        for path, part in zip(part_paths, split_corpus(corpus, args.split)):
+            write_corpus(part, path)
     print(f"wrote {len(corpus)} graphs to {args.out}")
     return EXIT_OK
 
 
-def _split_names(count: int):
+def _gen_corpus_paths(args) -> tuple[str, str, list[str]]:
+    """The pool, manifest and --split part paths gen-corpus writes next to --out."""
     base = ["train", "val", "test"]
-    return base[:count] + [f"part{i}" for i in range(len(base), count)]
+    count = len(args.split or ())
+    names = base[:count] + [f"part{i}" for i in range(len(base), count)]
+    parts = [f"{args.out}.{name}" for name in names]
+    return args.pool_out or f"{args.out}.pool", args.manifest_out or f"{args.out}.manifest", parts
 
 
 def _cmd_build_vocab(args) -> int:

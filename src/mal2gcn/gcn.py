@@ -371,8 +371,10 @@ def save_model(m: ModelParams, path, vocab: Vocabulary) -> None:
 def load_model(path, vocab: Vocabulary) -> ModelParams:
     """Read a model file, verifying structure, the vocabulary hash, finite weights and the flags.
 
-    A flags line without readout= is from before the readout was saved, when
-    every command scored with avg by default, so it loads as avg.
+    The flags line must start with `flags`, name no key twice and give each
+    projection flag as 0 or 1; keys it does not know are ignored.  A flags
+    line without readout= is from before the readout was saved, when every
+    command scored with avg by default, so it loads as avg.
     """
     lines = read_lines(path)
 
@@ -383,16 +385,18 @@ def load_model(path, vocab: Vocabulary) -> ModelParams:
         fail("missing or unsupported model header")
     try:
         dims_parts = lines[1].split()
-        assert dims_parts[0] == "dims" and len(dims_parts) == 5
         d, h1, h2, hg = (int(v) for v in dims_parts[1:])
-        flag_parts = dict(part.split("=", 1) for part in lines[2].split()[1:])
-        nonneg_gcn = bool(int(flag_parts["nonneg_gcn"]))
-        nonneg_gclf = bool(int(flag_parts["nonneg_gclf"]))
+        flag_words = lines[2].split()
+        pairs = [part.split("=", 1) for part in flag_words[1:]]
+        flag_parts = dict(pairs)
+        nonneg_gcn, nonneg_gclf = ({"0": False, "1": True}[flag_parts[k]] for k in ("nonneg_gcn", "nonneg_gclf"))
         readout = flag_parts.get("readout", "avg")
         hash_parts = lines[3].split()
-        assert hash_parts[0] == "vocab_sha256" and len(hash_parts) == 2
-        stored_hash = hash_parts[1]
-    except (IndexError, ValueError, KeyError, AssertionError):
+        _, stored_hash = hash_parts
+        keywords = (dims_parts[0], flag_words[0], hash_parts[0])
+    except (IndexError, ValueError, KeyError):
+        fail("corrupt model preamble")
+    if keywords != ("dims", "flags", "vocab_sha256") or len(flag_parts) != len(pairs):  # a repeated flag key
         fail("corrupt model preamble")
     if min(d, h1, h2, hg) < 1:
         fail(f"dims must be positive, got {d} {h1} {h2} {hg}")

@@ -26,7 +26,7 @@ from mal2gcn.gcn import build_normalized_adjacency, forward, prepare_graph, scor
 from mal2gcn.synth import SynthConfig, generate_corpus, split_corpus
 from mal2gcn.train import TrainConfig, train
 
-from conftest import hostile_model
+from conftest import hostile_model, random_params
 
 
 @pytest.fixture()
@@ -428,12 +428,20 @@ class TestTrainingAdversaries:
 
 
 class TestCheckMonotonicity:
-    def test_nonneg_model_has_zero_violations(self, trained_setup):
+    @pytest.mark.parametrize("readout", ["avg", "sum", "max"])
+    @pytest.mark.parametrize("model_seed", [None, 0, 1, 2], ids=["trained", "random0", "random1", "random2"])
+    def test_nonneg_model_has_zero_violations(self, trained_setup, readout, model_seed):
+        # exact: no logit drop at all, and every backward term is a sum of non-negative products
         vocab, pool, nonneg, _, malware = trained_setup
-        report = check_monotonicity(nonneg, vocab, malware, trials=300, seed=31)
+        if model_seed is not None:
+            rng = np.random.default_rng(model_seed)
+            h1, h2, hg = (int(w) for w in rng.integers(2, 65, size=3))
+            nonneg = random_params(rng, vocab.size, h1, h2, hg, nonneg=True)
+        report = check_monotonicity(dataclasses.replace(nonneg, readout=readout), vocab, malware, trials=300, seed=31)
         assert not report.informational
         assert report.violations == ()
-        assert report.min_input_gradient >= -1e-12
+        assert report.max_violation == 0.0
+        assert report.min_input_gradient >= 0.0
         assert report.ok
 
     @pytest.mark.parametrize("trials", [0, -3])
@@ -485,7 +493,7 @@ class TestCheckMonotonicity:
             if trial in seen:
                 assert seen[trial].graph_id == g.graph_id
                 expected, _ = forward(hostile, prepare_graph(build_normalized_adjacency(g), x + delta))
-                assert abs(seen[trial].score_after - expected) <= 1e-12
+                assert seen[trial].score_after == expected
 
 
 class TestPoolFile:

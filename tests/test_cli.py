@@ -469,6 +469,18 @@ class TestExitCodes:
         assert run(["check-monotone", "--corpus", str(corpus) + ".test", "--vocab", str(vocab),
                     "--model", str(path), "--trials", "50"]) == EXIT_DATA
 
+    def test_model_file_with_a_repeated_flag_is_data_error(self, workspace, tmp_path, capsys):
+        _, corpus, vocab, model = workspace
+        path = tmp_path / "repeated.txt"
+        path.write_text(model.read_text(encoding="utf-8").replace(" readout=avg", " readout=avg readout=max"), encoding="utf-8")
+        code = run(
+            ["eval", "--corpus", str(corpus) + ".test", "--vocab", str(vocab),
+             "--model", str(path), "--out", str(tmp_path / "m.txt")]
+        )
+        assert code == EXIT_DATA
+        assert "corrupt model preamble" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
     def test_model_dims_not_matching_vocabulary_is_data_error(self, workspace, tmp_path, capsys):
         root, corpus, vocab, model = workspace
         lines = model.read_text(encoding="utf-8").splitlines()
@@ -574,6 +586,30 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE
         assert digest(copy) == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--corpus", "{corpus}.train", "--val", "{corpus}.val", "--vocab", "{vocab}",
+             "--model", "{o}/m.txt", "--out", "{o}/m.txt"],
+            ["gen-corpus", "--n-benign", "3", "--n-malware", "3", "--out", "{o}/d.jsonl", "--pool-out", "{o}/d.jsonl"],
+            ["gen-corpus", "--n-benign", "3", "--n-malware", "3", "--out", "{o}/d.jsonl",
+             "--manifest-out", "{o}/d.jsonl.pool"],
+            ["gen-corpus", "--n-benign", "3", "--n-malware", "3", "--out", "{o}/d.jsonl",
+             "--pool-out", "{o}/../o/d.jsonl.test", "--split", "2,2,2"],
+            ["eval", "--corpus", "{corpus}.test", "--vocab", "{vocab}", "--model", "{model}",
+             "--out", "{o}/r", "--roc-out", "{o}/r"],
+        ],
+        ids=["train-model-out", "gen-corpus-pool-out", "gen-corpus-default-pool", "gen-corpus-split-part", "eval-roc-out"],
+    )
+    def test_outputs_naming_the_same_file_are_usage_errors(self, workspace, tmp_path, capsys, argv):
+        _, corpus, vocab, model = workspace
+        out_dir = tmp_path / "o"
+        out_dir.mkdir()
+        code = run([arg.format(corpus=corpus, vocab=vocab, model=model, o=out_dir) for arg in argv])
+        assert code == EXIT_USAGE
+        assert "name the same file" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
 
     def test_threads_option_is_gone(self, workspace, tmp_path):
         _, corpus, vocab, model = workspace

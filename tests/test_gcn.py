@@ -463,6 +463,39 @@ class TestModelIO:
         with pytest.raises(ModelIOError, match="unknown readout 'bogus'"):
             load_model(path, vocab)
 
+    @pytest.mark.parametrize(
+        "row, text",
+        [
+            (2, "garbage nonneg_gcn=0 nonneg_gclf=0 readout=avg"),
+            (2, "flags nonneg_gcn=0 nonneg_gclf=0 readout=avg readout=max"),
+            (2, "flags nonneg_gcn=0 nonneg_gclf=0 nonneg_gcn=0"),
+            (2, "flags nonneg_gcn=7 nonneg_gclf=0"),
+            (2, "flags nonneg_gcn=0 nonneg_gclf=true"),
+            (2, "flags nonneg_gcn=0 nonneg_gclf="),
+            (2, "flags nonneg_gcn=0 nonneg_gclf=0 readout"),
+            (1, "sizes 3 2 2 2"),
+            (1, "dims 3 2 2"),
+            (3, "sha256 " + "0" * 64),
+            (3, ""),
+        ],
+        ids=["flags-keyword", "repeated-readout", "repeated-flag", "flag-7", "flag-true", "flag-empty", "no-equals",
+             "dims-keyword", "dims-short", "hash-keyword", "hash-blank"],
+    )
+    def test_malformed_preamble_rejected(self, tmp_path, rng, vocab, row, text):
+        path = tmp_path / "model.txt"
+        save_model(random_params(rng, d=3, h1=2, h2=2, hg=2), path, vocab)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[row] = text
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ModelIOError, match="corrupt model preamble"):
+            load_model(path, vocab)
+
+    def test_unknown_flag_key_is_ignored(self, tmp_path, rng, vocab):
+        path = tmp_path / "model.txt"
+        save_model(random_params(rng, d=3, h1=2, h2=2, hg=2), path, vocab)
+        path.write_text(path.read_text(encoding="utf-8").replace(" readout=avg", " readout=sum future=x"), encoding="utf-8")
+        assert load_model(path, vocab).readout == "sum"
+
     def test_copy_keeps_flags_and_readout(self, rng):
         m = replace(random_params(rng, d=3, h1=2, h2=2, hg=2, nonneg=True), readout="sum")
         c = m.copy()

@@ -4,18 +4,48 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from mal2gcn.synth import SynthConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 VARIANTS = ("plain", "gcn-nonneg", "full-nonneg")
 
 
-def test_run_pipeline_corpus_size_defaults_are_the_library_defaults():
+def run_pipeline_module():
     spec = importlib.util.spec_from_file_location("run_pipeline", ROOT / "scripts" / "run_pipeline.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    args = module.build_parser().parse_args([])
+    return module
+
+
+def test_run_pipeline_corpus_size_defaults_are_the_library_defaults():
+    args = run_pipeline_module().build_parser().parse_args([])
     assert (args.n_benign, args.n_malware) == (SynthConfig.n_benign, SynthConfig.n_malware)
+    assert args.split == (2000, 500, 500)
+
+
+def test_run_pipeline_split_takes_three_sizes():
+    assert run_pipeline_module().build_parser().parse_args(["--split", "24,8,0"]).split == (24, 8, 0)
+
+
+@pytest.mark.parametrize("split", ["abc", "12,-2,0", "1,2", "1,2,3,4", "", "1,,2", "1.5,2,3"])
+def test_run_pipeline_bad_split_is_a_usage_error_before_any_work(split, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_pipeline_module().build_parser().parse_args(["--split", split])
+    assert exc.value.code == 2
+    assert "expected three comma-separated non-negative integers" in capsys.readouterr().err
+
+
+def test_run_pipeline_split_larger_than_the_corpus_is_a_usage_error_before_any_work(tmp_path, monkeypatch, capsys):
+    work = tmp_path / "work"
+    monkeypatch.setattr(sys, "argv", ["run_pipeline.py", "--workdir", str(work), "--n-benign", "3", "--n-malware", "3",
+                                      "--split", "4,2,1"])
+    with pytest.raises(SystemExit) as exc:
+        run_pipeline_module().main()
+    assert exc.value.code == 2
+    assert "--split sizes sum to 7 but the corpus has 6 graphs" in capsys.readouterr().err
+    assert not work.exists()
 
 
 def test_run_pipeline_writes_every_artifact_and_the_summary(tmp_path):
