@@ -45,14 +45,28 @@ def parse_split(text: str) -> tuple[int, int, int]:
     return sizes
 
 
+def integer_at_least(minimum: int):
+    """An argparse type for integers >= minimum, so a bad count is a usage error before any work."""
+
+    def parse(text: str) -> int:
+        try:
+            if (value := int(text)) >= minimum:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", type=Path, default=Path("pipeline_out"))
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--n-benign", type=int, default=SynthConfig.n_benign)
-    parser.add_argument("--n-malware", type=int, default=SynthConfig.n_malware)
+    parser.add_argument("--seed", type=integer_at_least(0), default=42)
+    parser.add_argument("--n-benign", type=integer_at_least(0), default=SynthConfig.n_benign)
+    parser.add_argument("--n-malware", type=integer_at_least(0), default=SynthConfig.n_malware)
     parser.add_argument("--split", type=parse_split, default=(2000, 500, 500))
-    parser.add_argument("--epochs", type=int, default=15)
+    parser.add_argument("--epochs", type=integer_at_least(1), default=15)
     parser.add_argument("--attack-overhead", type=float, choices=DEFAULT_OVERHEADS, default=200.0)
     return parser
 

@@ -67,7 +67,9 @@ class Fcg:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "edges", tuple((a, b) for a, b in self.edges))
+        # a tuple of 2-tuples, as record_to_fcg and normalize_fcg pass, is kept as it is
+        if type(self.edges) is not tuple or not all(type(e) is tuple and len(e) == 2 for e in self.edges):
+            object.__setattr__(self, "edges", tuple((a, b) for a, b in self.edges))
 
     @property
     def n_nodes(self) -> int:
@@ -178,13 +180,17 @@ def normalize_fcg(g: Fcg) -> Fcg:
 # ---------------------------------------------------------------------------
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str, strict: bool) -> None:
-    unknown = set(obj) - allowed
+def _missing_keys(obj: dict, expected: set[str], where: str, strict: bool) -> list[str]:
+    """The expected fields obj lacks, sorted; its unknown fields are a FormatError if strict, else logged."""
+    if obj.keys() == expected:  # the common case builds no set
+        return []
+    unknown = obj.keys() - expected
     if unknown:
         names = ", ".join(sorted(unknown))
         if strict:
             raise FormatError(f"{where}: unknown field(s) {names}")
         logger.warning("%s: ignoring unknown field(s) %s", where, names)
+    return sorted(expected - obj.keys())
 
 
 def _interned(items) -> tuple[str, ...] | None:
@@ -204,10 +210,9 @@ def record_to_fcg(obj: dict, where: str = "record", strict: bool = True) -> Fcg:
     """
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: expected an object")
-    _check_keys(obj, _RECORD_KEYS, where, strict)
-    missing = _RECORD_KEYS - set(obj)
+    missing = _missing_keys(obj, _RECORD_KEYS, where, strict)
     if missing:
-        raise FormatError(f"{where}: missing field(s) {', '.join(sorted(missing))}")
+        raise FormatError(f"{where}: missing field(s) {', '.join(missing)}")
 
     label = obj["label"]
     if label is not None and label not in (LABEL_MALWARE, LABEL_BENIGN):
@@ -221,8 +226,7 @@ def record_to_fcg(obj: dict, where: str = "record", strict: bool = True) -> Fcg:
         node_where = f"{where} node {k}"
         if not isinstance(node_obj, dict):
             raise FormatError(f"{node_where}: expected an object")
-        _check_keys(node_obj, _NODE_KEYS, node_where, strict)
-        if _NODE_KEYS - set(node_obj):
+        if _missing_keys(node_obj, _NODE_KEYS, node_where, strict):
             raise FormatError(f"{node_where}: missing field(s)")
         if type(node_obj["id"]) is not str:
             raise FormatError(f"{node_where}: id must be a string")

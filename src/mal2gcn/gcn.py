@@ -8,9 +8,12 @@ them from the model.
 
 A graph's adjacency, token counts and their product are CSR matrices built
 from index arrays, so its memory grows with nodes + edges, not nodes squared;
-weights and activations are dense float64.  A forward pass keeps three
-per-node arrays alive (h1, adjacency @ h1 and h2): each ReLU runs in place,
-and backward masks with the activation, since relu(z) > 0 exactly where z > 0.
+weights and activations are dense float64.  Each ReLU runs in place, and
+backward masks with the activation, since relu(z) > 0 exactly where z > 0.
+A forward pass keeps h1 only until adjacency @ h1 exists and caches its sign,
+so it ends holding two per-node arrays (adjacency @ h1 and h2).  Backward
+masks each gradient in place and releases each activation and gradient after
+its last read, so a training step holds about two N x h1 arrays at its peak.
 
 The convolution layers carry no bias; the classifier head does, and biases
 are exempt from the non-negative projection because an additive constant
@@ -184,9 +187,9 @@ class _BatchCache:
     offsets: np.ndarray  # (B+1,) row offsets into the stacked node arrays
     ax_stack: sparse.csr_matrix  # (N, d) vertically stacked adjacency @ features
     adj_block: sparse.csr_matrix  # (N, N) block-diagonal normalized adjacency
-    h1: np.ndarray  # (N, h1) relu(ax_stack @ w_gcn1)
-    m2: np.ndarray  # (N, h1) adjacency @ h1
-    h2: np.ndarray  # (N, h2) relu(m2 @ w_gcn2)
+    h1_on: np.ndarray  # (N, h1) bool, h1 > 0 where h1 = relu(ax_stack @ w_gcn1)
+    m2: np.ndarray | None  # (N, h1) adjacency @ h1; None once backward has read it
+    h2: np.ndarray | None  # (N, h2) relu(m2 @ w_gcn2); None once backward has read it
     g: np.ndarray  # (B, h2) graph readout
     hh: np.ndarray  # (B, hg) relu(g @ w_hidden + b_hidden)
     z4: np.ndarray  # (B,) output logit
@@ -209,10 +212,13 @@ def _forward_batch(m: ModelParams, prepared: list) -> _BatchCache:
         adj_block = sparse.block_diag([pg.adj for pg in prepared], format="csr")
 
     # each relu runs in place on the product just allocated for it, never on a
-    # weight or a PreparedGraph field, so no pre-activation stays alive
+    # weight or a PreparedGraph field, so no pre-activation stays alive; backward
+    # reads h1 only through relu's derivative, so only its sign outlives m2
     h1 = ax_stack @ m.w_gcn1
     np.maximum(h1, 0.0, out=h1)
     m2 = adj_block @ h1
+    h1_on = h1 > 0.0
+    del h1
     h2 = m2 @ m.w_gcn2
     np.maximum(h2, 0.0, out=h2)
 
@@ -228,11 +234,15 @@ def _forward_batch(m: ModelParams, prepared: list) -> _BatchCache:
     np.maximum(hh, 0.0, out=hh)
     z4 = hh @ m.w_out + m.b_out[0]
     p = expit(z4)
-    return _BatchCache(prepared, sizes, offsets, ax_stack, adj_block, h1, m2, h2, g, hh, z4, p)
+    return _BatchCache(prepared, sizes, offsets, ax_stack, adj_block, h1_on, m2, h2, g, hh, z4, p)
 
 
 def _backward_batch(m: ModelParams, cache: _BatchCache, dz4: np.ndarray, need_input_grads: bool = False):
     """Exact gradients for a batch given d(objective)/d(z4) per sample.
+
+    Consumes the cache's per-node activations: m2 and h2 are set to None after
+    their last read, so a cache serves one backward pass.  Each gradient is
+    masked in place and released after its last read.
 
     Returns (grads keyed like ModelParams.weights(), input gradient list or None).
     """
@@ -260,19 +270,22 @@ def _backward_batch(m: ModelParams, cache: _BatchCache, dz4: np.ndarray, need_in
             winners = cache.h2[lo:hi].argmax(axis=0)
             d_h2[lo + winners, cols] = d_g[i]
 
-    d_z2 = d_h2 * (cache.h2 > 0.0)
-    d_w_gcn2 = cache.m2.T @ d_z2
-    d_m2 = d_z2 @ m.w_gcn2.T
+    d_h2 *= cache.h2 > 0.0  # now the gradient of h2's pre-activation
+    d_w_gcn2 = cache.m2.T @ d_h2
+    cache.m2 = cache.h2 = None
+    d_m2 = d_h2 @ m.w_gcn2.T
+    del d_h2
 
     d_h1 = cache.adj_block.T @ d_m2
-    d_z1 = d_h1 * (cache.h1 > 0.0)
-    d_w_gcn1 = cache.ax_stack.T @ d_z1
+    del d_m2
+    d_h1 *= cache.h1_on  # now the gradient of h1's pre-activation
+    d_w_gcn1 = cache.ax_stack.T @ d_h1
 
     input_grads = None
     if need_input_grads:
         input_grads = []
         for i, pg in enumerate(prepared):
-            input_grads.append(pg.adj.T @ (d_z1[offsets[i] : offsets[i + 1]] @ m.w_gcn1.T))
+            input_grads.append(pg.adj.T @ (d_h1[offsets[i] : offsets[i + 1]] @ m.w_gcn1.T))
 
     grads = {
         "w_gcn1": d_w_gcn1,
@@ -298,7 +311,10 @@ def cross_entropy(p: np.ndarray, y: np.ndarray) -> float:
 
 
 def batch_loss_and_gradients(m: ModelParams, prepared: list, labels: np.ndarray):
-    """Mean clamped cross-entropy and its exact parameter gradients over prepared graphs."""
+    """Mean clamped cross-entropy, its exact parameter gradients, and the probabilities over prepared graphs.
+
+    Returns (loss, grads keyed like ModelParams.weights(), (B,) probabilities).
+    """
     cache = _forward_batch(m, prepared)
     y = np.asarray(labels, dtype=np.float64)
     loss = cross_entropy(cache.p, y)
@@ -306,7 +322,7 @@ def batch_loss_and_gradients(m: ModelParams, prepared: list, labels: np.ndarray)
     inside = (cache.p > PROB_CLAMP) & (cache.p < 1.0 - PROB_CLAMP)
     dz4 = np.where(inside, cache.p - y, 0.0) / len(prepared)
     grads, _ = _backward_batch(m, cache, dz4)
-    return loss, grads, cache
+    return loss, grads, cache.p
 
 
 def input_gradient(m: ModelParams, pg: PreparedGraph) -> np.ndarray:

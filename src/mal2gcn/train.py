@@ -171,12 +171,12 @@ def train(
             idx = order[start : start + cfg.batch_size]
             batch = [train_prepared[i] for i in idx]
             labels = train_labels[idx]
-            loss, grads, cache = batch_loss_and_gradients(params, batch, labels)
+            loss, grads, p = batch_loss_and_gradients(params, batch, labels)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}")
             adam.step(params, grads)
             epoch_losses.append(loss)
-            epoch_correct += int(((cache.p >= 0.5) == (labels >= 0.5)).sum())
+            epoch_correct += int(((p >= 0.5) == (labels >= 0.5)).sum())
 
         params = project_nonnegative(params)
 

@@ -164,6 +164,27 @@ class TestInterchange:
             with pytest.raises(FormatError, match="missing"):
                 record_to_fcg(obj, strict=strict)
 
+    @pytest.mark.parametrize(
+        "in_node, drop, add, strict, message",
+        [
+            (False, ("main", "edges"), (), True, "record: missing field(s) edges, main"),
+            (False, ("main",), ("extra",), False, "record: missing field(s) main"),
+            (False, (), ("zeta", "extra"), True, "record: unknown field(s) extra, zeta"),
+            (True, ("apis",), (), True, "record node 0: missing field(s)"),
+            (True, ("apis",), ("x",), False, "record node 0: missing field(s)"),
+            (True, (), ("x",), True, "record node 0: unknown field(s) x"),
+        ],
+    )
+    def test_field_errors_name_the_fields(self, in_node, drop, add, strict, message):
+        record = fcg_to_record(graph(["main"], []))
+        obj = record["nodes"][0] if in_node else record
+        for key in drop:
+            del obj[key]
+        obj.update(dict.fromkeys(add, 1))
+        with pytest.raises(FormatError) as exc:
+            record_to_fcg(record, strict=strict)
+        assert str(exc.value) == message
+
     def test_bad_label_rejected(self):
         obj = fcg_to_record(graph(["main"], []))
         obj["label"] = "weird"
@@ -240,6 +261,14 @@ class TestInterning:
             ids = {n.id: n.id for n in g.nodes}
             for caller, callee in g.edges:
                 assert caller is ids[caller] and callee is ids[callee]
+
+    def test_edge_tuples_are_kept_not_copied(self):
+        edges = (("main", "f1"), ("f1", "f2"), ("f1", "f2"))
+        g = graph(["main", "f1", "f2"], edges)
+        assert g.edges is edges
+        assert all(a is b for a, b in zip(normalize_fcg(g).edges, edges))
+        # any other container of pairs becomes a tuple of 2-tuples
+        assert graph(["main", "f1"], [["main", "f1"]]).edges == (("main", "f1"),)
 
     def test_nodes_carry_no_instance_dict(self):
         node = FunctionNode("main", ("A",), ("b",))

@@ -5,15 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
+from scipy import sparse
+from scipy.special import expit
 
 from mal2gcn.fcg import Fcg, FunctionNode
 from mal2gcn.featurize import Vocabulary, embed_graph
 from mal2gcn.gcn import (
+    PROB_CLAMP,
+    READOUTS,
     ModelIOError,
     ModelParams,
     NormalizedAdjacency,
     batch_loss_and_gradients,
     build_normalized_adjacency,
+    cross_entropy,
     forward,
     input_gradient,
     load_model,
@@ -165,7 +170,7 @@ class TestPreparationMemory:
 
 
 class TestForwardMemory:
-    """A forward pass keeps three per-node arrays alive: h1, adjacency @ h1 and h2."""
+    """A forward pass holds at most three per-node arrays: h1 is released once adjacency @ h1 exists."""
 
     def test_20k_node_chain_scores_within_three_live_activations(self):
         n, d, h1, h2 = 20_000, 8, 64, 32
@@ -179,6 +184,132 @@ class TestForwardMemory:
         finally:
             tracemalloc.stop()
         assert peak < 1.2 * (2 * h1 + h2) * n * 8
+
+
+class TestTrainingStepMemory:
+    """A training step holds about two N x h1 arrays at its peak, for every readout.
+
+    The bound of three lies between this step (about 2.25 here) and one that
+    keeps every activation to its end with a fresh array per relu mask (5.6).
+    """
+
+    @pytest.mark.parametrize("readout", READOUTS)
+    def test_step_peaks_within_three_n_by_h1_arrays(self, readout):
+        n, b, d, h1, h2, hg = 150, 8, 20, 400, 40, 4
+        rng = np.random.default_rng(0)
+        m = replace(random_params(rng, d, h1, h2, hg, scale=0.3), readout=readout)
+        adj = build_normalized_adjacency(chain_graph(n))
+        prepared = [prepare_graph(adj, rng.integers(0, 3, size=(n, d))) for _ in range(b)]
+        labels = np.arange(b) % 2
+        batch_loss_and_gradients(m, prepared, labels)  # warm-up: first-call allocations are not the step's
+        tracemalloc.start()
+        try:
+            batch_loss_and_gradients(m, prepared, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * b * n * h1 * 8
+
+
+def reference_pass(m, prepared, dz4_of):
+    """Forward and backward with every activation kept and each relu mask a fresh array.
+
+    dz4_of maps the (B,) probabilities to d(objective)/d(z4); returns
+    (probabilities, parameter gradients, per-graph input gradients).
+    """
+    sizes = np.array([pg.n for pg in prepared])
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    if len(prepared) == 1:
+        ax, adj = prepared[0].ax, prepared[0].adj
+    else:
+        ax = sparse.vstack([pg.ax for pg in prepared], format="csr")
+        adj = sparse.block_diag([pg.adj for pg in prepared], format="csr")
+    h1 = np.maximum(ax @ m.w_gcn1, 0.0)
+    m2 = adj @ h1
+    h2 = np.maximum(m2 @ m.w_gcn2, 0.0)
+    starts = offsets[:-1]
+    if m.readout == "avg":
+        g = np.add.reduceat(h2, starts, axis=0) / sizes[:, None]
+    elif m.readout == "sum":
+        g = np.add.reduceat(h2, starts, axis=0)
+    else:
+        g = np.maximum.reduceat(h2, starts, axis=0)
+    hh = np.maximum(g @ m.w_hidden + m.b_hidden, 0.0)
+    p = expit(hh @ m.w_out + m.b_out[0])
+
+    dz4 = dz4_of(p)
+    d_z3 = np.outer(dz4, m.w_out) * (hh > 0.0)
+    d_g = d_z3 @ m.w_hidden.T
+    if m.readout == "avg":
+        d_h2 = np.repeat(d_g / sizes[:, None], sizes, axis=0)
+    elif m.readout == "sum":
+        d_h2 = np.repeat(d_g, sizes, axis=0)
+    else:
+        d_h2 = np.zeros_like(h2)
+        cols = np.arange(d_h2.shape[1])
+        for i in range(len(prepared)):
+            winners = h2[offsets[i] : offsets[i + 1]].argmax(axis=0)
+            d_h2[offsets[i] + winners, cols] = d_g[i]
+    d_z2 = d_h2 * (h2 > 0.0)
+    d_m2 = d_z2 @ m.w_gcn2.T
+    d_h1 = adj.T @ d_m2
+    d_z1 = d_h1 * (h1 > 0.0)
+    grads = {
+        "w_gcn1": ax.T @ d_z1,
+        "w_gcn2": m2.T @ d_z2,
+        "w_hidden": g.T @ d_z3,
+        "b_hidden": d_z3.sum(axis=0),
+        "w_out": hh.T @ dz4,
+        "b_out": np.array([dz4.sum()]),
+    }
+    input_grads = [
+        pg.adj.T @ (d_z1[offsets[i] : offsets[i + 1]] @ m.w_gcn1.T) for i, pg in enumerate(prepared)
+    ]
+    return p, grads, input_grads
+
+
+class TestInPlaceBackward:
+    """The in-place masks and early releases change no bit of any gradient or probability."""
+
+    @staticmethod
+    def batch(rng, d):
+        prepared = []
+        for n in (7, 12, 5):
+            extra = [(f"n{rng.integers(n)}", f"n{rng.integers(n)}") for _ in range(n)]
+            adj = build_normalized_adjacency(chain_graph(n, extra))
+            prepared.append(prepare_graph(adj, rng.integers(0, 4, size=(n, d))))
+        return prepared
+
+    @pytest.mark.parametrize("nonneg", [False, True], ids=["plain", "nonneg"])
+    @pytest.mark.parametrize("readout", READOUTS)
+    def test_batch_gradients_bitwise_equal_reference(self, readout, nonneg):
+        rng = np.random.default_rng(21)
+        d = 9
+        m = replace(random_params(rng, d, 16, 8, 4, nonneg=nonneg, scale=0.5), readout=readout)
+        prepared = self.batch(rng, d)
+        labels = np.array([1.0, 0.0, 1.0])
+
+        def dz4_of(p):
+            inside = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
+            return np.where(inside, p - labels, 0.0) / len(prepared)
+
+        loss, grads, p = batch_loss_and_gradients(m, prepared, labels)
+        ref_p, ref_grads, _ = reference_pass(m, prepared, dz4_of)
+        assert p.tobytes() == ref_p.tobytes()
+        assert loss == cross_entropy(ref_p, labels)
+        assert grads.keys() == ref_grads.keys()
+        for name, grad in grads.items():
+            assert grad.tobytes() == ref_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("nonneg", [False, True], ids=["plain", "nonneg"])
+    @pytest.mark.parametrize("readout", READOUTS)
+    def test_input_gradient_bitwise_equal_reference(self, readout, nonneg):
+        rng = np.random.default_rng(22)
+        d = 9
+        m = replace(random_params(rng, d, 16, 8, 4, nonneg=nonneg, scale=0.5), readout=readout)
+        pg = self.batch(rng, d)[1]
+        _, _, ref_input_grads = reference_pass(m, [pg], lambda p: p * (1.0 - p))
+        assert input_gradient(m, pg).tobytes() == ref_input_grads[0].tobytes()
 
 
 def tiny_identity_model():

@@ -37,6 +37,25 @@ def test_run_pipeline_bad_split_is_a_usage_error_before_any_work(split, capsys):
     assert "expected three comma-separated non-negative integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option, value, minimum",
+    [("--epochs", "0", 1), ("--epochs", "-3", 1), ("--epochs", "2.5", 1), ("--seed", "-1", 0), ("--seed", "x", 0),
+     ("--n-benign", "-1", 0), ("--n-malware", "-1", 0), ("--n-malware", "", 0)],
+)
+def test_run_pipeline_bad_count_is_a_usage_error_before_any_work(option, value, minimum, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_pipeline_module().build_parser().parse_args([option, value])
+    assert exc.value.code == 2
+    assert f"{option}: expected an integer >= {minimum}, got {value!r}" in capsys.readouterr().err
+
+
+def test_run_pipeline_counts_take_their_lowest_values():
+    args = run_pipeline_module().build_parser().parse_args(
+        ["--epochs", "1", "--seed", "0", "--n-benign", "0", "--n-malware", "0"]
+    )
+    assert (args.epochs, args.seed, args.n_benign, args.n_malware) == (1, 0, 0, 0)
+
+
 def test_run_pipeline_split_larger_than_the_corpus_is_a_usage_error_before_any_work(tmp_path, monkeypatch, capsys):
     work = tmp_path / "work"
     monkeypatch.setattr(sys, "argv", ["run_pipeline.py", "--workdir", str(work), "--n-benign", "3", "--n-malware", "3",
