@@ -20,7 +20,7 @@ from mal2gcn.attack import (
     write_attack_report,
     write_benign_pool,
 )
-from mal2gcn.fcg import Corpus, LABEL_MALWARE, write_corpus
+from mal2gcn.fcg import Corpus, DataError, LABEL_MALWARE, write_corpus
 from mal2gcn.featurize import build_vocabulary, write_vocabulary
 from mal2gcn.gcn import save_model, score_graphs
 from mal2gcn.metrics import compute_metrics, write_metrics_report
@@ -76,7 +76,15 @@ def main():
     args = parser.parse_args()
     if sum(args.split) > args.n_benign + args.n_malware:
         parser.error(f"--split sizes sum to {sum(args.split)} but the corpus has {args.n_benign + args.n_malware} graphs")
+    try:
+        return run(args)
+    except (DataError, OSError) as exc:  # as the mal2gcn command maps them: one line, exit 2
+        print(f"{parser.prog}: data error: {exc}", file=sys.stderr)
+        return 2
 
+
+def run(args) -> int:
+    """Every stage of the experiment, its artifacts written under args.workdir; returns the exit code."""
     work = args.workdir
     work.mkdir(parents=True, exist_ok=True)
 

@@ -12,7 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .fcg import Corpus, DataError, Fcg, FormatError, FunctionNode, LABEL_BENIGN, LABEL_MALWARE, normalize_fcg, read_lines
+from .fcg import (
+    Corpus, DataError, Fcg, FormatError, FunctionNode, LABEL_BENIGN, LABEL_MALWARE, normalize_fcg, read_lines,
+    report_lines, write_lines,
+)
 from .featurize import (
     KIND_API,
     KIND_STRING,
@@ -490,12 +493,12 @@ def derive_benign_pool(corpus: Corpus) -> BenignPool:
 
 
 def write_benign_pool(pool: BenignPool, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(POOL_HEADER + "\n")
-        for token in pool.apis:
-            fh.write(f"{KIND_API}\t{escape_token(token)}\n")
-        for token in pool.strings:
-            fh.write(f"{KIND_STRING}\t{escape_token(token)}\n")
+    write_lines(
+        path,
+        [POOL_HEADER]
+        + [f"{KIND_API}\t{escape_token(token)}" for token in pool.apis]
+        + [f"{KIND_STRING}\t{escape_token(token)}" for token in pool.strings],
+    )
 
 
 def read_benign_pool(path) -> BenignPool:
@@ -521,29 +524,25 @@ def read_benign_pool(path) -> BenignPool:
 
 def write_attack_report(report: AttackReport, path, meta: dict | None = None) -> None:
     """Self-describing per-sample table plus the success-rate curve and its last row's robust accuracy."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(ATTACK_REPORT_HEADER + "\n")
-        for key, value in (meta or {}).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write("[samples]\n")
-        fh.write("graph_id\toverhead_pct\toriginal_score\tadv_score\tevaded\n")
-        for outcome in report.samples:
-            for overhead in (s.overhead_pct for s in report.summary):
-                fh.write(
-                    f"{outcome.graph_id}\t{float(overhead)!r}\t{outcome.original_score!r}"
-                    f"\t{outcome.adv_scores[overhead]!r}\t{int(outcome.evaded[overhead])}\n"
-                )
-        fh.write("[summary]\n")
-        fh.write(
-            "overhead_pct\tn_samples\tn_detected\tn_evaded\tsuccess_rate"
-            "\trobust_acc_conditioned\trobust_acc_overall\n"
-        )
-        for s in report.summary:
-            fh.write(
-                f"{float(s.overhead_pct)!r}\t{s.n_samples}\t{s.n_detected}\t{s.n_evaded}"
-                f"\t{s.success_rate!r}\t{s.robust_acc_conditioned!r}\t{s.robust_acc_overall!r}\n"
+    lines = report_lines(ATTACK_REPORT_HEADER, meta)
+    lines += ["[samples]", "graph_id\toverhead_pct\toriginal_score\tadv_score\tevaded"]
+    for outcome in report.samples:
+        for overhead in (s.overhead_pct for s in report.summary):
+            lines.append(
+                f"{outcome.graph_id}\t{float(overhead)!r}\t{outcome.original_score!r}"
+                f"\t{outcome.adv_scores[overhead]!r}\t{int(outcome.evaded[overhead])}"
             )
-        headline = report.summary[-1]
-        fh.write(f"reference_overhead_pct\t{float(headline.overhead_pct)!r}\n")
-        fh.write(f"robust_accuracy_conditioned\t{headline.robust_acc_conditioned!r}\n")
-        fh.write(f"robust_accuracy_overall\t{headline.robust_acc_overall!r}\n")
+    lines.append("[summary]")
+    lines.append(
+        "overhead_pct\tn_samples\tn_detected\tn_evaded\tsuccess_rate\trobust_acc_conditioned\trobust_acc_overall"
+    )
+    for s in report.summary:
+        lines.append(
+            f"{float(s.overhead_pct)!r}\t{s.n_samples}\t{s.n_detected}\t{s.n_evaded}"
+            f"\t{s.success_rate!r}\t{s.robust_acc_conditioned!r}\t{s.robust_acc_overall!r}"
+        )
+    headline = report.summary[-1]
+    lines.append(f"reference_overhead_pct\t{float(headline.overhead_pct)!r}")
+    lines.append(f"robust_accuracy_conditioned\t{headline.robust_acc_conditioned!r}")
+    lines.append(f"robust_accuracy_overall\t{headline.robust_acc_overall!r}")
+    write_lines(path, lines)

@@ -23,7 +23,7 @@ from .attack import (
     write_attack_report,
     write_benign_pool,
 )
-from .fcg import Corpus, DataError, LABEL_MALWARE, normalize_fcg, read_corpus, write_corpus
+from .fcg import Corpus, DataError, LABEL_MALWARE, normalize_fcg, read_corpus, write_corpus, write_lines
 from .featurize import build_vocabulary, embed_graph, read_vocabulary, write_vocabulary
 from .gcn import GCLF_WEIGHTS, GCN_WEIGHTS, READOUTS, load_model, save_model, score_graphs
 from .metrics import compute_metrics, roc_csv_lines, write_metrics_report
@@ -317,8 +317,7 @@ def _cmd_eval(args) -> int:
     }
     write_metrics_report(report, args.out, meta)
     if args.roc_out:
-        with open(args.roc_out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(roc_csv_lines(report)) + "\n")
+        write_lines(args.roc_out, roc_csv_lines(report))
     auc_text = f"{report.auc:.6f}" if report.auc is not None else "absent"
     print(f"accuracy={report.accuracy:.4f} precision={report.precision:.4f} recall={report.recall:.4f} f1={report.f1:.4f} auc={auc_text}")
     return EXIT_OK

@@ -261,19 +261,34 @@ def fcg_to_record(g: Fcg) -> dict:
 
 
 def write_corpus(corpus: Corpus, path) -> None:
+    write_lines(path, (json.dumps(fcg_to_record(g), ensure_ascii=False, separators=(",", ":")) for g in corpus.records))
+
+
+def write_lines(path, lines) -> None:
+    """Write each of `lines`, then a newline, to a UTF-8 text file; `lines` is any iterable, consumed as written."""
     with open(path, "w", encoding="utf-8") as fh:
-        for g in corpus.records:
-            fh.write(json.dumps(fcg_to_record(g), ensure_ascii=False, separators=(",", ":")))
+        for line in lines:
+            fh.write(line)
             fh.write("\n")
 
 
 def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file; a file that is not UTF-8 is a FormatError."""
+    """The lines of a UTF-8 text file as write_lines wrote them; a file that is not UTF-8 is a FormatError.
+
+    Only a newline ends a line, so a line keeps any other character, such as
+    U+0085 or U+2028, at which str.splitlines would split it.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
+            lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8") from exc
+    return lines[:-1] if lines[-1] == "" else lines
+
+
+def report_lines(header: str, meta: dict | None) -> list[str]:
+    """A report's preamble: its header line, then one `# key=value` line per meta entry."""
+    return [header, *(f"# {key}={value}" for key, value in (meta or {}).items())]
 
 
 def read_corpus(path, strict: bool = True) -> Corpus:

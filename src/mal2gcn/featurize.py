@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .fcg import Corpus, DataError, Fcg, FormatError, LABEL_MALWARE, read_lines
+from .fcg import Corpus, DataError, Fcg, FormatError, LABEL_MALWARE, read_lines, write_lines
 
 KIND_API = "api"
 KIND_STRING = "string"
@@ -233,13 +233,18 @@ def unescape_token(text: str) -> str:
     return "".join(out)
 
 
-def serialize_vocabulary(vocab: Vocabulary) -> str:
+def vocabulary_lines(vocab: Vocabulary) -> list[str]:
     lines = [f"{VOCAB_HEADER_PREFIX} k_api={vocab.k_api} k_str={vocab.k_str}"]
     for token, score in zip(vocab.api_tokens, vocab.api_scores):
         lines.append(f"{KIND_API}\t{escape_token(token)}\t{float(score)!r}")
     for token, score in zip(vocab.string_tokens, vocab.string_scores):
         lines.append(f"{KIND_STRING}\t{escape_token(token)}\t{float(score)!r}")
-    return "\n".join(lines) + "\n"
+    return lines
+
+
+def serialize_vocabulary(vocab: Vocabulary) -> str:
+    """The vocabulary file's text: the bytes write_vocabulary writes and vocabulary_digest hashes."""
+    return "\n".join(vocabulary_lines(vocab)) + "\n"
 
 
 def vocabulary_digest(vocab: Vocabulary) -> str:
@@ -248,8 +253,7 @@ def vocabulary_digest(vocab: Vocabulary) -> str:
 
 
 def write_vocabulary(vocab: Vocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_vocabulary(vocab))
+    write_lines(path, vocabulary_lines(vocab))
 
 
 def read_vocabulary(path) -> Vocabulary:

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
-from .fcg import DataError, Fcg, normalize_fcg, read_lines
+from .fcg import DataError, Fcg, normalize_fcg, read_lines, write_lines
 from .featurize import Vocabulary, embed_graph, vocabulary_digest
 
 PROB_CLAMP = 1e-7
@@ -358,30 +358,27 @@ def score_graphs(m: ModelParams, graphs, vocab: Vocabulary) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _format_row(row: np.ndarray) -> str:
-    return " ".join(repr(float(v)) for v in row)
+def _file_shapes(dims: tuple[int, int, int, int]) -> dict[str, tuple[int, int]]:
+    """Each weight's 2-D shape in the model file of a model with these dims, in file order."""
+    d, h1, h2, hg = dims
+    return {"w_gcn1": (d, h1), "w_gcn2": (h1, h2), "w_hidden": (h2, hg),
+            "b_hidden": (1, hg), "w_out": (hg, 1), "b_out": (1, 1)}
 
 
 def save_model(m: ModelParams, path, vocab: Vocabulary) -> None:
     """Write dims, flags (projection and readout), the vocabulary content hash, and all weights losslessly."""
-    d, h1, h2, hg = m.dims
-    matrices = [
-        ("w_gcn1", m.w_gcn1),
-        ("w_gcn2", m.w_gcn2),
-        ("w_hidden", m.w_hidden),
-        ("b_hidden", m.b_hidden.reshape(1, -1)),
-        ("w_out", m.w_out.reshape(-1, 1)),
-        ("b_out", m.b_out.reshape(1, 1)),
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{MODEL_HEADER}\n")
-        fh.write(f"dims {d} {h1} {h2} {hg}\n")
-        fh.write(f"flags nonneg_gcn={int(m.nonneg_gcn)} nonneg_gclf={int(m.nonneg_gclf)} readout={m.readout}\n")
-        fh.write(f"vocab_sha256 {vocabulary_digest(vocab)}\n")
-        for name, matrix in matrices:
-            fh.write(f"matrix {name} {matrix.shape[0]} {matrix.shape[1]}\n")
-            for row in matrix:
-                fh.write(_format_row(row) + "\n")
+
+    def lines():
+        yield MODEL_HEADER
+        yield "dims " + " ".join(map(str, m.dims))
+        yield f"flags nonneg_gcn={int(m.nonneg_gcn)} nonneg_gclf={int(m.nonneg_gclf)} readout={m.readout}"
+        yield f"vocab_sha256 {vocabulary_digest(vocab)}"
+        for name, (rows, cols) in _file_shapes(m.dims).items():
+            yield f"matrix {name} {rows} {cols}"
+            for row in getattr(m, name).reshape(rows, cols):
+                yield " ".join(repr(float(v)) for v in row)
+
+    write_lines(path, lines())
 
 
 def load_model(path, vocab: Vocabulary) -> ModelParams:
@@ -423,17 +420,9 @@ def load_model(path, vocab: Vocabulary) -> ModelParams:
     if d != vocab.size:
         fail(f"dims give d={d}, but the vocabulary has {vocab.size} tokens")
 
-    expected_shapes = {
-        "w_gcn1": (d, h1),
-        "w_gcn2": (h1, h2),
-        "w_hidden": (h2, hg),
-        "b_hidden": (1, hg),
-        "w_out": (hg, 1),
-        "b_out": (1, 1),
-    }
     matrices: dict[str, np.ndarray] = {}
     pos = 4
-    for name in ("w_gcn1", "w_gcn2", "w_hidden", "b_hidden", "w_out", "b_out"):
+    for name, shape in _file_shapes((d, h1, h2, hg)).items():
         if pos >= len(lines):
             fail(f"truncated file: missing matrix {name}")
         header = lines[pos].split()
@@ -443,8 +432,8 @@ def load_model(path, vocab: Vocabulary) -> ModelParams:
             rows, cols = int(header[2]), int(header[3])
         except ValueError:
             fail(f"matrix {name} has a non-integer shape {header[2]}x{header[3]}")
-        if (rows, cols) != expected_shapes[name]:
-            fail(f"matrix {name} has shape {rows}x{cols}, expected {expected_shapes[name]}")
+        if (rows, cols) != shape:
+            fail(f"matrix {name} has shape {rows}x{cols}, expected {shape}")
         pos += 1
         if pos + rows > len(lines):
             fail(f"truncated file inside matrix {name}")

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fcg import DataError
+from .fcg import DataError, report_lines, write_lines
 
 METRICS_REPORT_HEADER = "#mal2gcn-metrics v1"
 
@@ -54,14 +54,14 @@ def compute_metrics(scored) -> MetricsReport:
     if n_pos == 0 or n_neg == 0:
         return MetricsReport(accuracy, precision, recall, f1, tp, fp, tn, fn, None, None)
 
-    # sweep every distinct score as a threshold (predict positive iff score >= t);
-    # the final point, at the minimum score, is (1, 1)
-    points = [(0.0, 0.0, float("inf"))]
-    for t in np.unique(scores)[::-1]:
-        positive = scores >= t
-        tpr = float(np.sum(positive & (labels == 1)) / n_pos)
-        fpr = float(np.sum(positive & (labels == 0)) / n_neg)
-        points.append((fpr, tpr, float(t)))
+    # sweep every distinct score as a threshold (predict positive iff score >= t): after one descending
+    # sort, the samples >= t end at the last index of t's ties; the final point, at the minimum score, is (1, 1)
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    tps = np.cumsum(labels[order] == 1)[last]
+    fps = last + 1 - tps
+    points = [(0.0, 0.0, float("inf")), *zip((fps / n_neg).tolist(), (tps / n_pos).tolist(), ranked[last].tolist())]
 
     auc = 0.0
     for (fpr0, tpr0, _), (fpr1, tpr1, _) in zip(points, points[1:]):
@@ -79,19 +79,10 @@ def roc_csv_lines(report: MetricsReport) -> list[str]:
 
 
 def write_metrics_report(report: MetricsReport, path, meta: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(METRICS_REPORT_HEADER + "\n")
-        for key, value in (meta or {}).items():
-            fh.write(f"# {key}={value}\n")
-        for name in ("accuracy", "precision", "recall", "f1"):
-            fh.write(f"{name}\t{getattr(report, name)!r}\n")
-        if report.auc is not None:
-            fh.write(f"auc\t{report.auc!r}\n")
-        else:
-            fh.write("auc\tabsent\n")
-        for name in ("tp", "fp", "tn", "fn"):
-            fh.write(f"{name}\t{getattr(report, name)}\n")
-        if report.roc_points is not None:
-            fh.write("[roc]\n")
-            for line in roc_csv_lines(report):
-                fh.write(line + "\n")
+    lines = report_lines(METRICS_REPORT_HEADER, meta)
+    lines += [f"{name}\t{getattr(report, name)!r}" for name in ("accuracy", "precision", "recall", "f1")]
+    lines.append(f"auc\t{report.auc!r}" if report.auc is not None else "auc\tabsent")
+    lines += [f"{name}\t{getattr(report, name)}" for name in ("tp", "fp", "tn", "fn")]
+    if report.roc_points is not None:
+        lines += ["[roc]", *roc_csv_lines(report)]
+    write_lines(path, lines)

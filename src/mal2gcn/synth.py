@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attack import BenignPool
-from .fcg import Corpus, DataError, Fcg, FunctionNode, LABEL_BENIGN, LABEL_MALWARE
+from .fcg import Corpus, DataError, Fcg, FunctionNode, LABEL_BENIGN, LABEL_MALWARE, write_lines
 
 
 @dataclass(frozen=True)
@@ -221,6 +221,4 @@ def split_corpus(corpus: Corpus, sizes) -> list[Corpus]:
 
 def write_manifest(cfg: SynthConfig, path, extra: dict | None = None) -> None:
     payload = {"config": {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}, **(extra or {})}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])

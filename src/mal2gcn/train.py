@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fcg import Corpus, DataError, Fcg, LABEL_MALWARE, normalize_fcg
+from .fcg import Corpus, DataError, Fcg, LABEL_MALWARE, normalize_fcg, report_lines, write_lines
 from .featurize import Vocabulary
 from .gcn import (
     ModelParams,
@@ -20,6 +20,8 @@ from .gcn import (
     project_nonnegative,
     score_prepared,
 )
+
+TRAIN_REPORT_HEADER = "#mal2gcn-train-report v1"
 
 
 class TrainingError(DataError):
@@ -213,15 +215,11 @@ def train(
 
 
 def write_train_report(report: TrainReport, path, meta: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("#mal2gcn-train-report v1\n")
-        for key, value in (meta or {}).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write("best_epoch\t%d\n" % report.best_epoch)
-        fh.write(f"stopping_reason\t{report.stopping_reason}\n")
-        for name, audit in report.nonneg_audit.items():
-            fh.write(f"audit\t{name}\tgoverned={int(audit['governed'])}\tmin={audit['min_entry']!r}\n")
-        fh.write("[epochs]\n")
-        fh.write("epoch\ttrain_loss\ttrain_acc\tval_loss\tval_acc\n")
-        for e in report.epochs:
-            fh.write(f"{e.epoch}\t{e.train_loss!r}\t{e.train_acc!r}\t{e.val_loss!r}\t{e.val_acc!r}\n")
+    lines = report_lines(TRAIN_REPORT_HEADER, meta)
+    lines += [f"best_epoch\t{report.best_epoch}", f"stopping_reason\t{report.stopping_reason}"]
+    for name, audit in report.nonneg_audit.items():
+        lines.append(f"audit\t{name}\tgoverned={int(audit['governed'])}\tmin={audit['min_entry']!r}")
+    lines += ["[epochs]", "epoch\ttrain_loss\ttrain_acc\tval_loss\tval_acc"]
+    for e in report.epochs:
+        lines.append(f"{e.epoch}\t{e.train_loss!r}\t{e.train_acc!r}\t{e.val_loss!r}\t{e.val_acc!r}")
+    write_lines(path, lines)

@@ -13,6 +13,9 @@ settings.load_profile("default")
 
 tokens = st.text(max_size=40)
 
+# the characters besides "\n" and "\r" at which str.splitlines breaks a line; a token may hold any of them
+OTHER_LINE_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
 
 @st.composite
 def fcgs(draw, max_nodes=6, require_label=False, max_tokens=4):

@@ -26,7 +26,7 @@ from mal2gcn.gcn import build_normalized_adjacency, forward, prepare_graph, scor
 from mal2gcn.synth import SynthConfig, generate_corpus, split_corpus
 from mal2gcn.train import TrainConfig, train
 
-from conftest import hostile_model, random_params
+from conftest import OTHER_LINE_BREAKS, hostile_model, random_params
 
 
 @pytest.fixture()
@@ -152,9 +152,23 @@ PERTURBATION_DIGESTS = {
 }
 # sha256 of repr(generate_training_adversaries(...)) in test_training_adversaries_are_pinned, same origin
 ADVERSARIES_DIGEST = "7c3383fdb8bea6fe9c30dfcb2c4a657301fa0e663eaa54719f9f4561e45b66b3"
-# sha256 of the attack report of acceptance c8's workspace: scores from the same per-token draws, and
-# the model_sha256 of a model file whose flags line ends in readout=avg
-C8_ATTACK_REPORT_DIGEST = "21ad8c953f1081e57f41fedd7ac0f8a53e126b9ac84702ac91f9b2472667e061"
+# sha256 of every artifact of acceptance c8's workspace, plus `train --out` and `eval --out --roc-out`:
+# the attack report's scores come from the same per-token draws, and its model_sha256 is that of a
+# model file whose flags line ends in readout=avg
+C8_ARTIFACT_DIGESTS = {
+    "attack.tsv": "21ad8c953f1081e57f41fedd7ac0f8a53e126b9ac84702ac91f9b2472667e061",
+    "corpus.jsonl": "f10b1ea55ade314d6e416657ea67936e3d5fa1aac977f8ab65a2e2265c7fd4ed",
+    "corpus.jsonl.manifest": "406e730573698bd670c634219e0d8ff57a1e500d2cfbd146a2692b6f09f5e674",
+    "corpus.jsonl.pool": "4eef90b6fd15bf22aa9aff68bcfea468678920073ce9aa587da9eb0320220d9a",
+    "corpus.jsonl.test": "2ff7b5de3546f1062717f4e5a3991a0aa4d2ffa79a240a3df97e6c33ddd0a915",
+    "corpus.jsonl.train": "cb62c956cd542348a456d6dbddcf640d87121f3b615fbbdf40b2288b59d027e4",
+    "corpus.jsonl.val": "183860eec0f6e1e6c7af827c8a1e36ec0b84fd84d2a4e854fdbeba34622f75dd",
+    "metrics.txt": "9f8fd0a62bd240afcdf36fb377a895354edb351c3e45910d0ee089040a5fd2db",
+    "model.txt": "ddbe8d045d64a324fb51db21202f4b551372fdb1a1d1ceca5cec14545c0826dc",
+    "roc.csv": "4f57d3dea864a4fcec3e37166247ad3e4bd541f1da0b0b505568c72d04be0161",
+    "train.txt": "e40df7fe65efba4f5ce031942446933d6477b7de53d734731a9681473b24d761",
+    "vocab.tsv": "bc73dd419df52c7f6e23158c364b0282ada27f19411cb7a532346c786827110e",
+}
 
 
 def sha256_of_repr(value):
@@ -182,21 +196,25 @@ class TestRandomStreamPinned:
         assert sha256_of_repr(adversaries) == ADVERSARIES_DIGEST
 
     def test_c8_attack_report_is_pinned(self, tmp_path):
-        corpus, vocab, model, report = (
-            tmp_path / name for name in ("corpus.jsonl", "vocab.tsv", "model.txt", "attack.tsv")
+        corpus, vocab, model, train_report, metrics, roc, report = (
+            tmp_path / name
+            for name in ("corpus.jsonl", "vocab.tsv", "model.txt", "train.txt", "metrics.txt", "roc.csv", "attack.tsv")
         )
         assert run(["gen-corpus", "--out", str(corpus), "--seed", "5", "--n-benign", "30", "--n-malware", "30",
                     "--node-min", "3", "--node-max", "12", "--split", "40,10,10"]) == EXIT_OK
         assert run(["build-vocab", "--corpus", str(corpus) + ".train", "--out", str(vocab),
                     "--k-api", "80", "--k-str", "80"]) == EXIT_OK
         assert run(["train", "--corpus", str(corpus) + ".train", "--val", str(corpus) + ".val",
-                    "--vocab", str(vocab), "--model", str(model), "--seed", "5",
+                    "--vocab", str(vocab), "--model", str(model), "--out", str(train_report), "--seed", "5",
                     "--epochs", "4", "--h1", "16", "--h2", "8", "--hg", "4",
                     "--nonneg-gcn", "true", "--nonneg-gclf", "true"]) == EXIT_OK
+        assert run(["eval", "--corpus", str(corpus) + ".test", "--vocab", str(vocab), "--model", str(model),
+                    "--out", str(metrics), "--roc-out", str(roc)]) == EXIT_OK
         assert run(["attack", "--corpus", str(corpus) + ".test", "--vocab", str(vocab),
                     "--model", str(model), "--pool", str(corpus) + ".pool", "--out", str(report),
                     "--overheads", "0,50,100", "--seed", "5"]) == EXIT_OK
-        assert hashlib.sha256(report.read_bytes()).hexdigest() == C8_ATTACK_REPORT_DIGEST
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert digests == C8_ARTIFACT_DIGESTS
 
 
 class TestApplyPerturbation:
@@ -498,6 +516,13 @@ class TestCheckMonotonicity:
 
 class TestPoolFile:
     def test_round_trip(self, pool, tmp_path):
+        path = tmp_path / "pool.tsv"
+        write_benign_pool(pool, path)
+        assert read_benign_pool(path) == pool
+
+    @pytest.mark.parametrize("char", OTHER_LINE_BREAKS, ids=ascii)
+    def test_tokens_with_other_line_breaks_round_trip(self, tmp_path, char):
+        pool = BenignPool((f"api{char}name", "zeta"), (f"long{char}string", "after"))
         path = tmp_path / "pool.tsv"
         write_benign_pool(pool, path)
         assert read_benign_pool(path) == pool

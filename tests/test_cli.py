@@ -26,7 +26,7 @@ from mal2gcn.gcn import load_model, save_model, score_graphs
 from mal2gcn.metrics import compute_metrics, write_metrics_report
 from mal2gcn.train import TrainConfig, train
 
-from conftest import hostile_model
+from conftest import OTHER_LINE_BREAKS, hostile_model
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -233,6 +233,20 @@ class TestPipeline:
         assert run(["inspect", "--corpus", str(corpus), "--vocab", str(vocab)]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "embedding: d=3, 4 in-vocabulary token occurrences, 2/4 nodes with features"
+
+    def test_vocabulary_of_tokens_with_other_line_breaks_reads_back(self, tmp_path):
+        strings = [f"hello{c}world" for c in OTHER_LINE_BREAKS]
+        records = [
+            {"graph_id": graph_id, "label": label, "main": "main",
+             "nodes": [{"id": "main", "apis": ["CreateFileW"], "strings": node_strings}], "edges": []}
+            for graph_id, label, node_strings in (("m", "malware", strings), ("b", "benign", ["plain string"]))
+        ]
+        corpus = tmp_path / "two.jsonl"
+        corpus.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8")
+        vocab = tmp_path / "vocab.tsv"
+        assert run(["build-vocab", "--corpus", str(corpus), "--out", str(vocab)]) == EXIT_OK
+        assert run(["inspect", "--corpus", str(corpus), "--vocab", str(vocab)]) == EXIT_OK
+        assert set(strings) <= set(read_vocabulary(vocab).string_tokens)
 
     def test_reports_are_reproducible(self, workspace):
         root, corpus, vocab, model = workspace

@@ -12,12 +12,14 @@ from mal2gcn.fcg import (
     fcg_to_record,
     normalize_fcg,
     read_corpus,
+    read_lines,
     record_to_fcg,
     validate_fcg,
     write_corpus,
+    write_lines,
 )
 
-from conftest import fcgs
+from conftest import OTHER_LINE_BREAKS, fcgs
 
 
 def graph(nodes, edges, main="main", label="malware"):
@@ -231,6 +233,21 @@ class TestInterchange:
         obj["nodes"][0][field] = bad
         with pytest.raises(FormatError, match="string"):
             record_to_fcg(obj)
+
+
+class TestTextLines:
+    def test_lines_end_only_at_newline(self, tmp_path):
+        lines = ["header", "", *(f"a{c}b" for c in OTHER_LINE_BREAKS), "last"]
+        path = tmp_path / "lines.txt"
+        write_lines(path, iter(lines))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        assert read_lines(path) == lines
+
+    @pytest.mark.parametrize("text, lines", [("", []), ("a", ["a"]), ("a\n", ["a"]), ("a\n\n", ["a", ""]), ("\n", [""])])
+    def test_only_one_final_newline_is_dropped(self, tmp_path, text, lines):
+        path = tmp_path / "lines.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_lines(path) == lines
 
 
 class TestInterning:

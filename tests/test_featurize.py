@@ -17,6 +17,8 @@ from mal2gcn.featurize import (
     write_vocabulary,
 )
 
+from conftest import OTHER_LINE_BREAKS
+
 
 class TestNormalizeToken:
     def test_api_is_lowercased(self):
@@ -239,6 +241,14 @@ class TestVocabularyFile:
         )
         path = tmp_path / "vocab.tsv"
         write_vocabulary(vocab, path)
+        assert read_vocabulary(path) == vocab
+
+    @pytest.mark.parametrize("char", OTHER_LINE_BREAKS, ids=ascii)
+    def test_tokens_with_other_line_breaks_round_trip(self, tmp_path, char):
+        vocab = Vocabulary((f"api{char}name",), (f"long{char}string", "after"), (1.0,), (0.5, 0.25), 1, 2)
+        path = tmp_path / "vocab.tsv"
+        write_vocabulary(vocab, path)
+        assert path.read_bytes() == serialize_vocabulary(vocab).encode("utf-8")
         assert read_vocabulary(path) == vocab
 
     def test_missing_header_rejected(self, tmp_path):

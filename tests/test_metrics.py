@@ -21,6 +21,23 @@ def concordance_auc(scored):
     return total / (len(positives) * len(negatives))
 
 
+def reference_roc(scored):
+    """The ROC points and trapezoidal AUC of a sweep that rescans every score at each distinct threshold."""
+    scores = np.array([float(s) for s, _ in scored])
+    labels = np.array([int(y) for _, y in scored])
+    n_pos, n_neg = int((labels == 1).sum()), int((labels == 0).sum())
+    points = [(0.0, 0.0, float("inf"))]
+    for t in np.unique(scores)[::-1]:
+        positive = scores >= t
+        tpr = float(np.sum(positive & (labels == 1)) / n_pos)
+        fpr = float(np.sum(positive & (labels == 0)) / n_neg)
+        points.append((fpr, tpr, float(t)))
+    auc = 0.0
+    for (fpr0, tpr0, _), (fpr1, tpr1, _) in zip(points, points[1:]):
+        auc += (fpr1 - fpr0) * (tpr0 + tpr1) / 2.0
+    return tuple(points), auc
+
+
 class TestComputeMetrics:
     def test_perfect_separation(self):
         report = compute_metrics([(0.9, 1), (0.8, 1), (0.2, 0), (0.1, 0)])
@@ -92,6 +109,19 @@ class TestComputeMetrics:
         scored = list(zip(scores, labels))
         report = compute_metrics(scored)
         assert report.auc == pytest.approx(concordance_auc(scored), abs=1e-9)
+
+    def test_roc_equals_the_rescanning_sweep_exactly(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            size = int(rng.integers(2, 300))
+            scores = np.round(rng.random(size), int(rng.integers(1, 4)))  # quantized to force ties
+            labels = rng.integers(0, 2, size=size)
+            labels[:2] = (0, 1)
+            scored = list(zip(scores, labels))
+            points, auc = reference_roc(scored)
+            report = compute_metrics(scored)
+            assert report.roc_points == points
+            assert repr(report.auc) == repr(auc)
 
 
 class TestMetricsFile:

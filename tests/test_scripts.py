@@ -67,6 +67,28 @@ def test_run_pipeline_split_larger_than_the_corpus_is_a_usage_error_before_any_w
     assert not work.exists()
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [(["--n-benign", "0", "--n-malware", "0", "--split", "0,0,0"], "cannot build a vocabulary from an empty corpus"),
+     (["--n-benign", "2", "--n-malware", "2", "--split", "2,0,2"], "validation corpus is empty")],
+)
+def test_run_pipeline_data_error_is_one_line_and_exit_2(tmp_path, monkeypatch, capsys, options, message):
+    monkeypatch.setattr(sys, "argv", ["run_pipeline.py", "--workdir", str(tmp_path / "work"), *options])
+    assert run_pipeline_module().main() == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"{message}\n") and err.count("\n") == 1
+
+
+def test_run_pipeline_workdir_that_is_a_file_is_one_line_and_exit_2(tmp_path, monkeypatch, capsys):
+    work = tmp_path / "work"
+    work.write_text("not a directory\n", encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["run_pipeline.py", "--workdir", str(work)])
+    assert run_pipeline_module().main() == 2
+    err = capsys.readouterr().err
+    assert str(work) in err and err.count("\n") == 1
+    assert work.read_text(encoding="utf-8") == "not a directory\n"
+
+
 def test_run_pipeline_writes_every_artifact_and_the_summary(tmp_path):
     work = tmp_path / "work"
     env = dict(os.environ)
