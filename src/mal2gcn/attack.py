@@ -13,25 +13,26 @@ import numpy as np
 from scipy import sparse
 
 from .fcg import (
-    Corpus, DataError, Fcg, FormatError, FunctionNode, LABEL_BENIGN, LABEL_MALWARE, normalize_fcg, read_lines,
-    report_lines, write_lines,
+    Corpus, DataError, Fcg, FunctionNode, LABEL_BENIGN, LABEL_MALWARE, normalize_fcg, report_lines, write_lines,
 )
 from .featurize import (
     KIND_API,
     KIND_STRING,
+    KINDS,
     Vocabulary,
+    _node_tokens,
     embed_graph,
-    escape_token,
     normalize_token,
-    unescape_token,
+    read_token_table,
+    token_table_lines,
 )
 from .gcn import (
     ModelParams,
     NormalizedAdjacency,
     PreparedGraph,
     build_normalized_adjacency,
+    _scored_input_gradient,
     forward,
-    input_gradient,
     normalized_adjacency,
     prepare_graph,
     score_prepared,
@@ -57,12 +58,10 @@ class BenignPool:
     def __post_init__(self):
         if not self.apis and not self.strings:
             raise DataError("benign pool is empty")
-        for token in self.apis:
-            if normalize_token(token, KIND_API) != token:
-                raise DataError(f"pool api token {token!r} is not normalized")
-        for token in self.strings:
-            if normalize_token(token, KIND_STRING) != token:
-                raise DataError(f"pool string token {token!r} is not normalized")
+        for kind, tokens in ((KIND_API, self.apis), (KIND_STRING, self.strings)):
+            for token in tokens:
+                if normalize_token(token, kind) != token:
+                    raise DataError(f"pool {kind} token {token!r} is not normalized")
 
     @property
     def size(self) -> int:
@@ -449,9 +448,9 @@ def check_monotonicity(
             adj = build_normalized_adjacency(g)
             counts = embed_graph(g, vocab).counts
             pg = prepare_graph(adj, counts)
-            base, cache = forward(model, pg)
-            min_grad = min(min_grad, float(input_gradient(model, pg).min()))
-            cached[gi] = (adj, counts.tocoo(), base, cache.z4[0])
+            base, base_z4, grad = _scored_input_gradient(model, pg)
+            min_grad = min(min_grad, float(grad.min()))
+            cached[gi] = (adj, counts.tocoo(), base, base_z4)
         adj, counts, base, base_z4 = cached[gi]
 
         n_edits = int(rng.integers(1, 21))
@@ -478,48 +477,26 @@ def check_monotonicity(
 
 
 def derive_benign_pool(corpus: Corpus) -> BenignPool:
-    """The sorted set of normalized tokens per kind among benign-labeled graphs.
+    """The sorted set of tokens per kind among benign-labeled graphs, normalized as featurization does.
 
-    On a synthetic corpus whose benign graphs use every benign and shared
-    token, this is the pool generate_corpus writes, in the same order.
+    Strings that normalization drops are left out.  On a synthetic corpus
+    whose benign graphs use every benign and shared token, this is the pool
+    generate_corpus writes, in the same order.
     """
-    benign = [g for g in corpus if g.label == LABEL_BENIGN]
-    if not benign:
+    nodes = [node for g in corpus if g.label == LABEL_BENIGN for node in g.nodes]
+    if not nodes:
         raise DataError("cannot derive a benign pool: no benign-labeled graphs")
-    nodes = [node for g in benign for node in g.nodes]
-    apis = {normalize_token(token, KIND_API) for node in nodes for token in node.apis}
-    strings = {normalize_token(token, KIND_STRING) for node in nodes for token in node.strings}
-    return BenignPool(tuple(sorted(apis - {None})), tuple(sorted(strings - {None})))
+    return BenignPool(*(tuple(sorted({t for node in nodes for t in _node_tokens(node, kind)})) for kind in KINDS))
 
 
 def write_benign_pool(pool: BenignPool, path) -> None:
-    write_lines(
-        path,
-        [POOL_HEADER]
-        + [f"{KIND_API}\t{escape_token(token)}" for token in pool.apis]
-        + [f"{KIND_STRING}\t{escape_token(token)}" for token in pool.strings],
-    )
+    write_lines(path, token_table_lines(POOL_HEADER, {KIND_API: zip(pool.apis), KIND_STRING: zip(pool.strings)}))
 
 
 def read_benign_pool(path) -> BenignPool:
-    lines = read_lines(path)
-    if not lines or lines[0] != POOL_HEADER:
-        raise FormatError(f"{path}: missing pool header")
-    apis, strings = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError(f"{path} line {lineno}: expected kind<TAB>token")
-        kind, token = parts
-        if kind == KIND_API:
-            apis.append(unescape_token(token))
-        elif kind == KIND_STRING:
-            strings.append(unescape_token(token))
-        else:
-            raise FormatError(f"{path} line {lineno}: unknown kind {kind!r}")
-    return BenignPool(tuple(apis), tuple(strings))
+    """Read a pool file: a token table headed by exactly POOL_HEADER, its rows the vocabulary's without a score."""
+    _, rows = read_token_table(path, lambda line: line == POOL_HEADER, 2)
+    return BenignPool(*(tuple(rows[kind]) for kind in KINDS))
 
 
 def write_attack_report(report: AttackReport, path, meta: dict | None = None) -> None:

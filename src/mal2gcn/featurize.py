@@ -6,6 +6,7 @@ i < len(api_tokens) addresses api_tokens[i] and the string block follows.
 
 import hashlib
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -16,6 +17,7 @@ from .fcg import Corpus, DataError, Fcg, FormatError, LABEL_MALWARE, read_lines,
 
 KIND_API = "api"
 KIND_STRING = "string"
+KINDS = (KIND_API, KIND_STRING)  # a token table's row order
 
 MIN_STRING_LEN = 4
 MAX_STRING_LEN = 30
@@ -150,7 +152,7 @@ def build_vocabulary(
             n_mal += 1
         else:
             n_ben += 1
-        for kind in (KIND_API, KIND_STRING):
+        for kind in KINDS:
             graph_tokens: set[str] = set()
             for node in g.nodes:
                 for token in _node_tokens(node, kind):
@@ -203,11 +205,12 @@ def embed_graph(g: Fcg, vocab: Vocabulary) -> FeatureMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Vocabulary file: "#mal2gcn-vocab v1 k_api=<n> k_str=<n>" header, then
-# kind<TAB>token<TAB>score rows in index order (api rows first).
+# Token tables (the vocabulary and the benign pool): a header line, then
+# kind<TAB>token[<TAB>field...] rows, api rows first, tokens escaped.
 # ---------------------------------------------------------------------------
 
 _ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+_UNESCAPES = {"t": "\t", "n": "\n", "r": "\r"}  # any other escaped character stands for itself
 
 
 def escape_token(token: str) -> str:
@@ -219,27 +222,60 @@ def escape_token(token: str) -> str:
 def unescape_token(text: str) -> str:
     if "\\" not in text:
         return text
-    out = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            out.append({"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return re.sub(r"\\(.)", lambda m: _UNESCAPES.get(m[1], m[1]), text, flags=re.DOTALL)
+
+
+def token_table_lines(header: str, rows: dict) -> list[str]:
+    """A token table's lines: the header, then a row per (token, *fields) in rows[kind], api rows first."""
+    return [header] + [
+        "\t".join((kind, escape_token(token), *fields)) for kind in KINDS for token, *fields in rows[kind]
+    ]
+
+
+def read_token_table(path, parse_header, n_fields: int):
+    """(parse_header(first line), {kind: {token: (line number, *other fields)}}) of a token table, in file order.
+
+    parse_header gives a false value for a line that is not the table's
+    header.  Empty lines are skipped.  Each other row holds n_fields fields,
+    and its unescaped token is normalized and new for its kind; no api row
+    follows a string row.  Any other file is a FormatError naming the path
+    and the line.
+    """
+    lines = read_lines(path)
+    header = parse_header(lines[0]) if lines else None
+    if not header:
+        raise FormatError(f"{path}: missing or malformed header")
+    rows = {kind: {} for kind in KINDS}
+
+    def fail(msg):
+        raise FormatError(f"{path} line {lineno}: {msg}")
+
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != n_fields:
+            fail(f"expected {n_fields} tab-separated fields, got {len(parts)}")
+        kind, token, *fields = parts
+        if kind not in rows:
+            fail(f"unknown kind {kind!r}")
+        token = unescape_token(token)
+        if normalize_token(token, kind) != token:
+            fail(f"{kind} token {token!r} is not normalized")  # no graph token can ever match it
+        if kind == KIND_API and rows[KIND_STRING]:
+            fail("api row after string rows")
+        if token in rows[kind]:
+            fail(f"repeated {kind} token {token!r}")
+        rows[kind][token] = (lineno, *fields)
+    return header, rows
 
 
 def vocabulary_lines(vocab: Vocabulary) -> list[str]:
-    lines = [f"{VOCAB_HEADER_PREFIX} k_api={vocab.k_api} k_str={vocab.k_str}"]
-    for token, score in zip(vocab.api_tokens, vocab.api_scores):
-        lines.append(f"{KIND_API}\t{escape_token(token)}\t{float(score)!r}")
-    for token, score in zip(vocab.string_tokens, vocab.string_scores):
-        lines.append(f"{KIND_STRING}\t{escape_token(token)}\t{float(score)!r}")
-    return lines
+    scored = {KIND_API: (vocab.api_tokens, vocab.api_scores), KIND_STRING: (vocab.string_tokens, vocab.string_scores)}
+    return token_table_lines(
+        f"{VOCAB_HEADER_PREFIX} k_api={vocab.k_api} k_str={vocab.k_str}",
+        {kind: [(token, repr(float(score))) for token, score in zip(*scored[kind])] for kind in KINDS},
+    )
 
 
 def serialize_vocabulary(vocab: Vocabulary) -> str:
@@ -256,57 +292,34 @@ def write_vocabulary(vocab: Vocabulary, path) -> None:
     write_lines(path, vocabulary_lines(vocab))
 
 
-def read_vocabulary(path) -> Vocabulary:
-    lines = read_lines(path)
-    if not lines or not lines[0].startswith(VOCAB_HEADER_PREFIX):
-        raise FormatError(f"{path}: missing vocabulary header")
+def _vocabulary_sizes(header: str) -> tuple[int, int] | None:
+    """The header's (k_api, k_str), or None when it is not a vocabulary header."""
+    if not header.startswith(VOCAB_HEADER_PREFIX):
+        return None
     try:
-        fields = dict(part.split("=", 1) for part in lines[0][len(VOCAB_HEADER_PREFIX):].split())
-        k_api = int(fields["k_api"])
-        k_str = int(fields["k_str"])
-    except (ValueError, KeyError) as exc:
-        raise FormatError(f"{path}: malformed vocabulary header") from exc
+        fields = dict(part.split("=", 1) for part in header[len(VOCAB_HEADER_PREFIX):].split())
+        return int(fields["k_api"]), int(fields["k_str"])
+    except (ValueError, KeyError):
+        return None
 
-    api: list[tuple[str, float]] = []
-    strings: list[tuple[str, float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise FormatError(f"{path} line {lineno}: expected kind<TAB>token<TAB>score")
-        kind, token, score_text = parts
-        try:
-            score = float(score_text)
-        except ValueError as exc:
-            raise FormatError(f"{path} line {lineno}: bad score {score_text!r}") from exc
-        if not math.isfinite(score):
-            raise FormatError(f"{path} line {lineno}: non-finite score")
-        if kind not in (KIND_API, KIND_STRING):
-            raise FormatError(f"{path} line {lineno}: unknown kind {kind!r}")
-        token = unescape_token(token)
-        if normalize_token(token, kind) != token:
-            # no graph token can ever match it
-            raise FormatError(f"{path} line {lineno}: {kind} token {token!r} is not normalized")
-        if kind == KIND_API:
-            if strings:
-                raise FormatError(f"{path} line {lineno}: api row after string rows")
-            api.append((token, score))
-        else:
-            strings.append((token, score))
 
+def read_vocabulary(path) -> Vocabulary:
+    """Read a vocabulary file: a token table whose header gives k_api and k_str, each row ending in a finite score."""
+    (k_api, k_str), rows = read_token_table(path, _vocabulary_sizes, 3)
+    scores = {kind: [] for kind in KINDS}
+    for kind in KINDS:
+        for lineno, text in rows[kind].values():
+            try:
+                score = float(text)
+            except ValueError:
+                score = math.nan
+            if not math.isfinite(score):
+                raise FormatError(f"{path} line {lineno}: score {text!r} is not a finite number")
+            scores[kind].append(score)
     vocab = Vocabulary(
-        api_tokens=tuple(t for t, _ in api),
-        string_tokens=tuple(t for t, _ in strings),
-        api_scores=tuple(s for _, s in api),
-        string_scores=tuple(s for _, s in strings),
-        k_api=k_api,
-        k_str=k_str,
+        tuple(rows[KIND_API]), tuple(rows[KIND_STRING]), tuple(scores[KIND_API]), tuple(scores[KIND_STRING]),
+        k_api, k_str,
     )
     if vocab.size == 0:
         raise FormatError(f"{path}: vocabulary has no tokens")
-    if len(set(vocab.api_tokens)) != len(vocab.api_tokens) or len(set(vocab.string_tokens)) != len(
-        vocab.string_tokens
-    ):
-        raise FormatError(f"{path}: duplicate tokens in vocabulary")
     return vocab

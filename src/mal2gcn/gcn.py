@@ -327,10 +327,15 @@ def batch_loss_and_gradients(m: ModelParams, prepared: list, labels: np.ndarray)
 
 def input_gradient(m: ModelParams, pg: PreparedGraph) -> np.ndarray:
     """Exact gradient of the output probability with respect to every feature entry."""
+    return _scored_input_gradient(m, pg)[2]
+
+
+def _scored_input_gradient(m: ModelParams, pg: PreparedGraph):
+    """(probability, logit z4, input gradient) of one prepared graph from a single forward pass."""
     cache = _forward_batch(m, [pg])
     dz4 = cache.p * (1.0 - cache.p)  # d sigmoid / d z4
     _, input_grads = _backward_batch(m, cache, dz4, need_input_grads=True)
-    return input_grads[0]
+    return float(cache.p[0]), cache.z4[0], input_grads[0]
 
 
 def score_prepared(m: ModelParams, prepared: list) -> np.ndarray:

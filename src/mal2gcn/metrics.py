@@ -26,9 +26,9 @@ class MetricsReport:
 def compute_metrics(scored) -> MetricsReport:
     """Point metrics at threshold 0.5 plus the full-threshold-sweep ROC and AUC.
 
-    `scored` is a sequence of (score, label) with labels in {0, 1}; a sample is
-    predicted malware when score >= 0.5.  Single-label inputs get point
-    metrics only (ROC/AUC reported absent).
+    `scored` is a sequence of (finite score, label) with labels in {0, 1}; a
+    sample is predicted malware when score >= 0.5.  Single-label inputs get
+    point metrics only (ROC/AUC reported absent).
     """
     scored = list(scored)
     if not scored:
@@ -37,6 +37,8 @@ def compute_metrics(scored) -> MetricsReport:
     labels = np.array([int(y) for _, y in scored])
     if not set(np.unique(labels)) <= {0, 1}:
         raise DataError("labels must be 0 or 1")
+    if not np.isfinite(scores).all():
+        raise DataError("scores must be finite numbers")
 
     predicted = scores >= 0.5
     tp = int(np.sum(predicted & (labels == 1)))

@@ -22,11 +22,12 @@ from mal2gcn.attack import (
 from mal2gcn.cli import EXIT_OK, run
 from mal2gcn.fcg import Corpus, DataError, Fcg, FunctionNode, normalize_fcg, validate_fcg
 from mal2gcn.featurize import Vocabulary, build_vocabulary, embed_graph
+from mal2gcn import gcn
 from mal2gcn.gcn import build_normalized_adjacency, forward, prepare_graph, score_graphs
 from mal2gcn.synth import SynthConfig, generate_corpus, split_corpus
 from mal2gcn.train import TrainConfig, train
 
-from conftest import OTHER_LINE_BREAKS, hostile_model, random_params
+from conftest import hostile_model, random_params
 
 
 @pytest.fixture()
@@ -462,6 +463,20 @@ class TestCheckMonotonicity:
         assert report.min_input_gradient >= 0.0
         assert report.ok
 
+    def test_one_forward_pass_per_distinct_graph_and_per_trial(self, trained_setup, monkeypatch):
+        # the base score, base logit and input gradient of a graph share one forward pass
+        vocab, _, nonneg, _, malware = trained_setup
+        forwards, backwards = [], []
+        real_forward, real_backward = gcn._forward_batch, gcn._backward_batch
+        monkeypatch.setattr(gcn, "_forward_batch", lambda *args: forwards.append(1) or real_forward(*args))
+        monkeypatch.setattr(
+            gcn, "_backward_batch", lambda *args, **kw: backwards.append(1) or real_backward(*args, **kw)
+        )
+        report = check_monotonicity(nonneg, vocab, Corpus(malware.records[:3], {}), trials=40, seed=5)
+        assert report.trials == 40
+        assert len(backwards) == 3  # each of the three graphs was drawn, and its gradient taken once
+        assert len(forwards) == 3 + 40
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_rejects_fewer_than_one_trial(self, trained_setup, trials):
         vocab, _, nonneg, _, malware = trained_setup
@@ -519,19 +534,6 @@ class TestPoolFile:
         path = tmp_path / "pool.tsv"
         write_benign_pool(pool, path)
         assert read_benign_pool(path) == pool
-
-    @pytest.mark.parametrize("char", OTHER_LINE_BREAKS, ids=ascii)
-    def test_tokens_with_other_line_breaks_round_trip(self, tmp_path, char):
-        pool = BenignPool((f"api{char}name", "zeta"), (f"long{char}string", "after"))
-        path = tmp_path / "pool.tsv"
-        write_benign_pool(pool, path)
-        assert read_benign_pool(path) == pool
-
-    def test_header_required(self, tmp_path):
-        path = tmp_path / "pool.tsv"
-        path.write_text("api\ttok\n", encoding="utf-8")
-        with pytest.raises(Exception, match="header"):
-            read_benign_pool(path)
 
 
 class TestDeriveBenignPool:

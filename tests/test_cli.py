@@ -421,6 +421,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"mal2gcn: data error: {benign}: no malware records to attack\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "row, problem",
+        [("api\tapi_ben_0000", "repeated api token 'api_ben_0000'"), ("api\tLoadLibraryW", "is not normalized")],
+        ids=["repeated", "unnormalized"],
+    )
+    def test_attack_with_bad_pool_row_is_data_error_naming_the_line(self, workspace, tmp_path, capsys, row, problem):
+        _, corpus, vocab, model = workspace
+        lines = Path(f"{corpus}.pool").read_text(encoding="utf-8").split("\n")
+        pool = tmp_path / "bad.pool"
+        pool.write_text("\n".join(lines[:2] + [row] + lines[2:]), encoding="utf-8")
+        out = tmp_path / "attack.tsv"
+        code = run(["attack", "--corpus", f"{corpus}.test", "--vocab", str(vocab), "--model", str(model),
+                    "--pool", str(pool), "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"mal2gcn: data error: {pool} line 3: ") and problem in err
+        assert not out.exists()
+
     def test_vocabulary_without_tokens_is_data_error(self, workspace, tmp_path, capsys):
         _, corpus, _, _ = workspace
         vocab = tmp_path / "vocab.tsv"

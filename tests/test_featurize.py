@@ -1,8 +1,11 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from mal2gcn.attack import POOL_HEADER, BenignPool, read_benign_pool, write_benign_pool
 from mal2gcn.fcg import Corpus, DataError, Fcg, FormatError, FunctionNode
 from mal2gcn.featurize import (
     Vocabulary,
@@ -213,6 +216,103 @@ class TestEmbedGraph:
             assert (fm.counts.toarray() >= 0).all()
 
 
+@dataclass(frozen=True)
+class TokenTable:
+    """One token-table format: its reader and writer, a valid header, what ends a row, and a constructor."""
+
+    read: object
+    write: object
+    header: str
+    row_end: str
+    make: object  # (api tokens, string tokens) -> the object the file holds
+
+
+TABLES = {
+    "vocab": TokenTable(
+        read_vocabulary,
+        write_vocabulary,
+        "#mal2gcn-vocab v1 k_api=1 k_str=1",
+        "\t1.0",
+        lambda apis, strings: Vocabulary(apis, strings, (1.0,) * len(apis), (1.0,) * len(strings), 1, 1),
+    ),
+    "pool": TokenTable(read_benign_pool, write_benign_pool, POOL_HEADER, "", BenignPool),
+}
+
+
+@pytest.fixture(params=sorted(TABLES))
+def table(request):
+    return TABLES[request.param]
+
+
+def write_table(table, tmp_path, *rows, header=None):
+    """A file of `table`'s format: its header (or `header`), then each non-empty row with the format's row end."""
+    path = tmp_path / "table.tsv"
+    lines = [table.header if header is None else header] + [row and row + table.row_end for row in rows]
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    return path
+
+
+class TestTokenTableFile:
+    """The vocabulary and the benign pool share one row format and one set of row checks."""
+
+    def test_tokens_with_tabs_and_newlines_round_trip(self, table, tmp_path):
+        held = table.make(("call\tsite", "back\\slash"), ("multi\nline string", "carriage\rreturn"))
+        path = tmp_path / "table.tsv"
+        table.write(held, path)
+        assert table.read(path) == held
+
+    @pytest.mark.parametrize("char", OTHER_LINE_BREAKS, ids=ascii)
+    def test_tokens_with_other_line_breaks_round_trip(self, table, tmp_path, char):
+        held = table.make((f"api{char}name",), (f"long{char}string", "after"))
+        path = tmp_path / "table.tsv"
+        table.write(held, path)
+        assert path.read_text(encoding="utf-8").count("\n") == 4  # the header and three rows
+        assert table.read(path) == held
+
+    def test_reads_rows_around_empty_lines(self, table, tmp_path):
+        path = write_table(table, tmp_path, "api\ttoka", "", "string\tlong string")
+        assert table.read(path) == table.make(("toka",), ("long string",))
+
+    @pytest.mark.parametrize("header", ["", "#mal2gcn-other v1", "api\ttoka"])
+    def test_missing_header_rejected(self, table, tmp_path, header):
+        path = write_table(table, tmp_path, "api\ttoka", header=header)
+        with pytest.raises(FormatError, match="header"):
+            table.read(path)
+
+    def test_empty_file_rejected(self, table, tmp_path):
+        path = tmp_path / "table.tsv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(FormatError, match="header"):
+            table.read(path)
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            (["api\ttoka\textra"], "line 2: expected"),
+            (["api\ttoka", "api"], "line 3: expected"),
+            (["bytes\ttoka"], "line 2: unknown kind 'bytes'"),
+            (["string\tlong enough", "api\ttoka"], "line 3: api row after string rows"),
+            (["api\tGetProcAddress"], "line 2: api token 'GetProcAddress' is not normalized"),
+            (["string\tabc"], "line 2: string token 'abc' is not normalized"),
+            (["string\t" + "x" * 31], "line 2: string token 'x{31}' is not normalized"),
+            (["api\ttoka", "api\ttokb", "api\ttoka"], "line 4: repeated api token 'toka'"),
+            (["string\tlong string", "", "string\tlong\\ string"], "line 4: repeated string token 'long string'"),
+        ],
+        ids=["extra-field", "missing-field", "unknown-kind", "api-after-string", "unnormalized-api",
+             "short-string", "long-string", "repeated-api", "repeated-escaped-string"],
+    )
+    def test_bad_row_is_format_error_naming_the_line(self, table, tmp_path, rows, match):
+        # a token that normalization changes can never match a graph token; a repeated
+        # token would be a second feature column, or a doubled share of the pool's draws
+        path = write_table(table, tmp_path, *rows)
+        with pytest.raises(FormatError, match=f"^{path} {match}"):
+            table.read(path)
+
+    def test_same_token_of_both_kinds_allowed(self, table, tmp_path):
+        path = write_table(table, tmp_path, "api\tlong string", "string\tlong string")
+        assert table.read(path) == table.make(("long string",), ("long string",))
+
+
 class TestVocabularyFile:
     def test_round_trip(self, tmp_path):
         vocab = small_vocab()
@@ -230,30 +330,18 @@ class TestVocabularyFile:
         assert header == "#mal2gcn-vocab v1 k_api=500 k_str=500"
         assert read_vocabulary(path).k_api == 500
 
-    def test_tokens_with_tabs_and_newlines_round_trip(self, tmp_path):
-        vocab = Vocabulary(
-            ("call\tsite",),
-            ("multi\nline string", "back\\slash"),
-            (1.0,),
-            (0.5, 0.25),
-            1,
-            2,
-        )
-        path = tmp_path / "vocab.tsv"
-        write_vocabulary(vocab, path)
-        assert read_vocabulary(path) == vocab
-
     @pytest.mark.parametrize("char", OTHER_LINE_BREAKS, ids=ascii)
-    def test_tokens_with_other_line_breaks_round_trip(self, tmp_path, char):
+    def test_written_bytes_are_the_hashed_text(self, tmp_path, char):
         vocab = Vocabulary((f"api{char}name",), (f"long{char}string", "after"), (1.0,), (0.5, 0.25), 1, 2)
         path = tmp_path / "vocab.tsv"
         write_vocabulary(vocab, path)
         assert path.read_bytes() == serialize_vocabulary(vocab).encode("utf-8")
-        assert read_vocabulary(path) == vocab
 
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "vocab.tsv"
-        path.write_text("api\ttok\t1.0\n", encoding="utf-8")
+    @pytest.mark.parametrize(
+        "header", ["#mal2gcn-vocab v1", "#mal2gcn-vocab v1 k_api=1", "#mal2gcn-vocab v1 k_api=x k_str=1"]
+    )
+    def test_header_without_sizes_rejected(self, tmp_path, header):
+        path = write_table(TABLES["vocab"], tmp_path, "api\ttoka", header=header)
         with pytest.raises(FormatError, match="header"):
             read_vocabulary(path)
 
@@ -263,29 +351,13 @@ class TestVocabularyFile:
         with pytest.raises(FormatError, match="no tokens"):
             read_vocabulary(path)
 
-    def test_bad_row_rejected(self, tmp_path):
-        path = tmp_path / "vocab.tsv"
-        path.write_text("#mal2gcn-vocab v1 k_api=1 k_str=0\napi\ttok\n", encoding="utf-8")
-        with pytest.raises(FormatError):
-            read_vocabulary(path)
-
-    def test_api_row_after_string_row_rejected(self, tmp_path):
+    @pytest.mark.parametrize("score", ["x", "nan", "inf", "-inf", "1e400", ""])
+    def test_bad_score_rejected(self, tmp_path, score):
         path = tmp_path / "vocab.tsv"
         path.write_text(
-            "#mal2gcn-vocab v1 k_api=1 k_str=1\nstring\tlong enough\t1.0\napi\ttok\t1.0\n",
-            encoding="utf-8",
+            f"#mal2gcn-vocab v1 k_api=1 k_str=1\napi\ttoka\t1.0\nstring\tlong string\t{score}\n", encoding="utf-8"
         )
-        with pytest.raises(FormatError, match="api row after"):
-            read_vocabulary(path)
-
-    @pytest.mark.parametrize(
-        "row", ["api\tGetProcAddress\t1.0", "string\tabc\t1.0", "string\t" + "x" * 31 + "\t1.0"]
-    )
-    def test_unnormalized_token_rejected(self, tmp_path, row):
-        # a token that normalization changes can never match a graph token
-        path = tmp_path / "vocab.tsv"
-        path.write_text(f"#mal2gcn-vocab v1 k_api=1 k_str=1\n{row}\n", encoding="utf-8")
-        with pytest.raises(FormatError, match="not normalized"):
+        with pytest.raises(FormatError, match=f"^{path} line 3: score"):
             read_vocabulary(path)
 
     @given(st.text(max_size=40))

@@ -76,6 +76,12 @@ class TestComputeMetrics:
         with pytest.raises(DataError):
             compute_metrics([(0.5, 2)])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_score_rejected(self, bad):
+        # a NaN compares false with every threshold: it would be a false negative and a ROC point at nan
+        with pytest.raises(DataError, match="finite"):
+            compute_metrics([(bad, 1), (0.2, 0), (0.7, 1), (0.1, 0)])
+
     def test_roc_endpoints_and_ordering(self):
         report = compute_metrics([(0.9, 1), (0.4, 0), (0.6, 1), (0.2, 0)])
         points = report.roc_points
