@@ -272,18 +272,20 @@ def write_lines(path, lines) -> None:
             fh.write("\n")
 
 
-def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file as write_lines wrote them; a file that is not UTF-8 is a FormatError.
+def read_lines(path):
+    """Yield the lines of a UTF-8 text file as write_lines wrote them, decoding as it reads.
 
     Only a newline ends a line, so a line keeps any other character, such as
-    U+0085 or U+2028, at which str.splitlines would split it.
+    U+0085 or U+2028, at which str.splitlines would split it.  Bytes that are
+    not UTF-8 raise a FormatError when they are reached.  The file is closed
+    once it is read through, on that error, or when the generator is closed.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+            for line in fh:
+                yield line.removesuffix("\n")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8") from exc
-    return lines[:-1] if lines[-1] == "" else lines
 
 
 def report_lines(header: str, meta: dict | None) -> list[str]:
@@ -294,24 +296,20 @@ def report_lines(header: str, meta: dict | None) -> list[str]:
 def read_corpus(path, strict: bool = True) -> Corpus:
     """Read an interchange file; every record must pass validation (isolation aside)."""
     records: list[Fcg] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"{path} line {lineno}"
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise FormatError(f"{where}: invalid JSON ({exc.msg})") from exc
-                except RecursionError as exc:
-                    raise FormatError(f"{where}: JSON nested too deeply") from exc
-                g = record_to_fcg(obj, where=where, strict=strict)
-                result = validate_fcg(g)
-                if not result.ok:
-                    raise FormatError(f"{where} (graph {g.graph_id}): " + "; ".join(result.errors))
-                records.append(g)
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not valid UTF-8") from exc
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path} line {lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{where}: invalid JSON ({exc.msg})") from exc
+        except RecursionError as exc:
+            raise FormatError(f"{where}: JSON nested too deeply") from exc
+        g = record_to_fcg(obj, where=where, strict=strict)
+        result = validate_fcg(g)
+        if not result.ok:
+            raise FormatError(f"{where} (graph {g.graph_id}): " + "; ".join(result.errors))
+        records.append(g)
     return Corpus(tuple(records), {"source": str(path)})

@@ -8,6 +8,7 @@ import hashlib
 import math
 import re
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,32 +242,32 @@ def read_token_table(path, parse_header, n_fields: int):
     follows a string row.  Any other file is a FormatError naming the path
     and the line.
     """
-    lines = read_lines(path)
-    header = parse_header(lines[0]) if lines else None
-    if not header:
-        raise FormatError(f"{path}: missing or malformed header")
     rows = {kind: {} for kind in KINDS}
 
     def fail(msg):
         raise FormatError(f"{path} line {lineno}: {msg}")
 
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != n_fields:
-            fail(f"expected {n_fields} tab-separated fields, got {len(parts)}")
-        kind, token, *fields = parts
-        if kind not in rows:
-            fail(f"unknown kind {kind!r}")
-        token = unescape_token(token)
-        if normalize_token(token, kind) != token:
-            fail(f"{kind} token {token!r} is not normalized")  # no graph token can ever match it
-        if kind == KIND_API and rows[KIND_STRING]:
-            fail("api row after string rows")
-        if token in rows[kind]:
-            fail(f"repeated {kind} token {token!r}")
-        rows[kind][token] = (lineno, *fields)
+    with closing(read_lines(path)) as lines:
+        header = parse_header(next(lines, ""))  # an empty file reads as an empty header line
+        if not header:
+            raise FormatError(f"{path}: missing or malformed header")
+        for lineno, line in enumerate(lines, start=2):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != n_fields:
+                fail(f"expected {n_fields} tab-separated fields, got {len(parts)}")
+            kind, token, *fields = parts
+            if kind not in rows:
+                fail(f"unknown kind {kind!r}")
+            token = unescape_token(token)
+            if normalize_token(token, kind) != token:
+                fail(f"{kind} token {token!r} is not normalized")  # no graph token can ever match it
+            if kind == KIND_API and rows[KIND_STRING]:
+                fail("api row after string rows")
+            if token in rows[kind]:
+                fail(f"repeated {kind} token {token!r}")
+            rows[kind][token] = (lineno, *fields)
     return header, rows
 
 
@@ -293,14 +294,20 @@ def write_vocabulary(vocab: Vocabulary, path) -> None:
 
 
 def _vocabulary_sizes(header: str) -> tuple[int, int] | None:
-    """The header's (k_api, k_str), or None when it is not a vocabulary header."""
+    """The header's (k_api, k_str), or None when it is not a vocabulary header.
+
+    As build_vocabulary writes it, the header names no key twice and gives
+    each size as an integer of at least 1; keys it does not know are ignored.
+    """
     if not header.startswith(VOCAB_HEADER_PREFIX):
         return None
     try:
-        fields = dict(part.split("=", 1) for part in header[len(VOCAB_HEADER_PREFIX):].split())
-        return int(fields["k_api"]), int(fields["k_str"])
+        pairs = [part.split("=", 1) for part in header[len(VOCAB_HEADER_PREFIX):].split()]
+        fields = dict(pairs)
+        sizes = int(fields["k_api"]), int(fields["k_str"])
     except (ValueError, KeyError):
         return None
+    return sizes if len(fields) == len(pairs) and min(sizes) >= 1 else None
 
 
 def read_vocabulary(path) -> Vocabulary:

@@ -4,7 +4,8 @@ exact backpropagation, non-negative projection, and model file I/O.
 A model carries its whole architecture: its weights give the layer sizes,
 and its projection flags and readout (avg, sum or max over the nodes) are
 fields saved in the model file, so every forward and backward pass reads
-them from the model.
+them from the model.  A model file is read one line at a time, each row
+parsed into its place in its matrix, so loading holds the weights and a line.
 
 A graph's adjacency, token counts and their product are CSR matrices built
 from index arrays, so its memory grows with nodes + edges, not nodes squared;
@@ -20,7 +21,9 @@ are exempt from the non-negative projection because an additive constant
 never breaks monotonicity.
 """
 
+from contextlib import closing
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 from scipy import sparse
@@ -394,71 +397,71 @@ def load_model(path, vocab: Vocabulary) -> ModelParams:
     line without readout= is from before the readout was saved, when every
     command scored with avg by default, so it loads as avg.
     """
-    lines = read_lines(path)
-
     def fail(msg):
         raise ModelIOError(f"{path}: {msg}")
 
-    if not lines or lines[0] != MODEL_HEADER:
-        fail("missing or unsupported model header")
-    try:
-        dims_parts = lines[1].split()
-        d, h1, h2, hg = (int(v) for v in dims_parts[1:])
-        flag_words = lines[2].split()
-        pairs = [part.split("=", 1) for part in flag_words[1:]]
-        flag_parts = dict(pairs)
-        nonneg_gcn, nonneg_gclf = ({"0": False, "1": True}[flag_parts[k]] for k in ("nonneg_gcn", "nonneg_gclf"))
-        readout = flag_parts.get("readout", "avg")
-        hash_parts = lines[3].split()
-        _, stored_hash = hash_parts
-        keywords = (dims_parts[0], flag_words[0], hash_parts[0])
-    except (IndexError, ValueError, KeyError):
-        fail("corrupt model preamble")
-    if keywords != ("dims", "flags", "vocab_sha256") or len(flag_parts) != len(pairs):  # a repeated flag key
-        fail("corrupt model preamble")
-    if min(d, h1, h2, hg) < 1:
-        fail(f"dims must be positive, got {d} {h1} {h2} {hg}")
-
-    expected = vocabulary_digest(vocab)
-    if stored_hash != expected:
-        fail(f"vocabulary hash mismatch (model {stored_hash[:12]}..., supplied {expected[:12]}...)")
-    if d != vocab.size:
-        fail(f"dims give d={d}, but the vocabulary has {vocab.size} tokens")
-
-    matrices: dict[str, np.ndarray] = {}
-    pos = 4
-    for name, shape in _file_shapes((d, h1, h2, hg)).items():
-        if pos >= len(lines):
-            fail(f"truncated file: missing matrix {name}")
-        header = lines[pos].split()
-        if len(header) != 4 or header[0] != "matrix" or header[1] != name:
-            fail(f"expected matrix header for {name} at line {pos + 1}")
+    with closing(read_lines(path)) as lines:
+        if next(lines, None) != MODEL_HEADER:
+            fail("missing or unsupported model header")
         try:
-            rows, cols = int(header[2]), int(header[3])
-        except ValueError:
-            fail(f"matrix {name} has a non-integer shape {header[2]}x{header[3]}")
-        if (rows, cols) != shape:
-            fail(f"matrix {name} has shape {rows}x{cols}, expected {shape}")
-        pos += 1
-        if pos + rows > len(lines):
-            fail(f"truncated file inside matrix {name}")
-        # rows are parsed one by one and stacked, so the header's shape allocates nothing
-        parsed = []
-        for r in range(rows):
-            parts = lines[pos + r].split()
-            if len(parts) != cols:
-                fail(f"matrix {name} row {r} has {len(parts)} values, expected {cols}")
+            dims_parts, flag_words, hash_parts = [line.split() for line in islice(lines, 3)]
+            d, h1, h2, hg = (int(v) for v in dims_parts[1:])
+            pairs = [part.split("=", 1) for part in flag_words[1:]]
+            flag_parts = dict(pairs)
+            nonneg_gcn, nonneg_gclf = ({"0": False, "1": True}[flag_parts[k]] for k in ("nonneg_gcn", "nonneg_gclf"))
+            readout = flag_parts.get("readout", "avg")
+            _, stored_hash = hash_parts
+            keywords = (dims_parts[0], flag_words[0], hash_parts[0])
+        except (IndexError, ValueError, KeyError):
+            fail("corrupt model preamble")
+        if keywords != ("dims", "flags", "vocab_sha256") or len(flag_parts) != len(pairs):  # a repeated flag key
+            fail("corrupt model preamble")
+        if min(d, h1, h2, hg) < 1:
+            fail(f"dims must be positive, got {d} {h1} {h2} {hg}")
+
+        expected = vocabulary_digest(vocab)
+        if stored_hash != expected:
+            fail(f"vocabulary hash mismatch (model {stored_hash[:12]}..., supplied {expected[:12]}...)")
+        if d != vocab.size:
+            fail(f"dims give d={d}, but the vocabulary has {vocab.size} tokens")
+
+        matrices: dict[str, np.ndarray] = {}
+        pos = 4  # lines read so far
+        for name, shape in _file_shapes((d, h1, h2, hg)).items():
+            header = next(lines, None)
+            if header is None:
+                fail(f"truncated file: missing matrix {name}")
+            header = header.split()
+            if len(header) != 4 or header[0] != "matrix" or header[1] != name:
+                fail(f"expected matrix header for {name} at line {pos + 1}")
             try:
-                parsed.append(np.array([float(v) for v in parts]))
+                rows, cols = int(header[2]), int(header[3])
             except ValueError:
-                fail(f"matrix {name} row {r}: unparseable value")
-        data = np.array(parsed)
-        if not np.isfinite(data).all():
-            fail(f"matrix {name} has a non-finite value")
-        matrices[name] = data
-        pos += rows
-    if pos != len(lines):
-        fail("trailing content after final matrix")
+                fail(f"matrix {name} has a non-integer shape {header[2]}x{header[3]}")
+            if (rows, cols) != shape:
+                fail(f"matrix {name} has shape {rows}x{cols}, expected {shape}")
+            for r in range(rows):
+                line = next(lines, None)
+                if line is None:
+                    fail(f"truncated file inside matrix {name}")
+                parts = line.split()
+                if len(parts) != cols:
+                    fail(f"matrix {name} row {r} has {len(parts)} values, expected {cols}")
+                if r == 0:  # allocated only once a row holds the column count the header claims
+                    try:
+                        data = np.empty(shape)
+                    except MemoryError:
+                        fail(f"matrix {name} of shape {rows}x{cols} does not fit in memory")
+                try:
+                    data[r] = np.array(parts, dtype=np.float64)
+                except ValueError:
+                    fail(f"matrix {name} row {r}: unparseable value")
+            if not np.isfinite(data).all():
+                fail(f"matrix {name} has a non-finite value")
+            matrices[name] = data
+            pos += 1 + rows
+        if next(lines, None) is not None:
+            fail("trailing content after final matrix")
 
     try:
         params = ModelParams(

@@ -587,6 +587,32 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert "not valid UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["corpus", "vocab", "pool", "model"])
+    def test_input_not_utf8_on_its_last_line_is_data_error(self, workspace, tmp_path, capsys, name):
+        # inputs are decoded as they are read, so the bad byte is met after every earlier line was parsed
+        _, corpus, vocab, model = workspace
+        inputs = {"corpus": Path(f"{corpus}.test"), "vocab": vocab, "pool": Path(f"{corpus}.pool"), "model": model}
+        bad = tmp_path / f"bad.{name}"
+        bad.write_bytes(inputs[name].read_bytes().removesuffix(b"\n") + b"\xff\n")
+        inputs[name] = bad
+        argv = ["--corpus", str(inputs["corpus"]), "--vocab", str(inputs["vocab"]), "--model", str(inputs["model"]),
+                "--out", str(tmp_path / "out.txt")]
+        argv = ["attack", *argv, "--pool", str(bad)] if name == "pool" else ["eval", *argv]
+        assert run(argv) == EXIT_DATA
+        assert capsys.readouterr().err == f"mal2gcn: data error: {bad}: not valid UTF-8\n"
+        assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize("header", ["#mal2gcn-vocab v1 k_api=-3 k_str=0 k_api=7", "#mal2gcn-vocab v1 k_api=0 k_str=1"])
+    def test_vocabulary_header_with_a_repeated_key_or_a_size_below_one_is_data_error(
+        self, workspace, tmp_path, capsys, header
+    ):
+        _, corpus, vocab, _ = workspace
+        bad = tmp_path / "vocab.tsv"
+        rows = vocab.read_text(encoding="utf-8").split("\n", 1)[1]
+        bad.write_text(f"{header}\n{rows}", encoding="utf-8")
+        assert run(["inspect", "--corpus", f"{corpus}.test", "--vocab", str(bad)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"mal2gcn: data error: {bad}: missing or malformed header\n"
+
     def test_strict_mode_rejects_unknown_fields(self, workspace, tmp_path):
         record = {"graph_id": "g", "label": "benign", "main": "main",
                   "nodes": [{"id": "main", "apis": [], "strings": []}], "edges": [],

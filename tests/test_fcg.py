@@ -241,13 +241,13 @@ class TestTextLines:
         path = tmp_path / "lines.txt"
         write_lines(path, iter(lines))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
-        assert read_lines(path) == lines
+        assert list(read_lines(path)) == lines
 
     @pytest.mark.parametrize("text, lines", [("", []), ("a", ["a"]), ("a\n", ["a"]), ("a\n\n", ["a", ""]), ("\n", [""])])
     def test_only_one_final_newline_is_dropped(self, tmp_path, text, lines):
         path = tmp_path / "lines.txt"
         path.write_bytes(text.encode("utf-8"))
-        assert read_lines(path) == lines
+        assert list(read_lines(path)) == lines
 
 
 class TestInterning:

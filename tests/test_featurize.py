@@ -338,7 +338,15 @@ class TestVocabularyFile:
         assert path.read_bytes() == serialize_vocabulary(vocab).encode("utf-8")
 
     @pytest.mark.parametrize(
-        "header", ["#mal2gcn-vocab v1", "#mal2gcn-vocab v1 k_api=1", "#mal2gcn-vocab v1 k_api=x k_str=1"]
+        "header",
+        [
+            "#mal2gcn-vocab v1",
+            "#mal2gcn-vocab v1 k_api=1",
+            "#mal2gcn-vocab v1 k_api=x k_str=1",
+            "#mal2gcn-vocab v1 k_api=-3 k_str=0 k_api=7",
+            "#mal2gcn-vocab v1 k_api=1 k_str=1 k_str=1",
+            "#mal2gcn-vocab v1 k_api=0 k_str=1",
+        ],
     )
     def test_header_without_sizes_rejected(self, tmp_path, header):
         path = write_table(TABLES["vocab"], tmp_path, "api\ttoka", header=header)

@@ -9,8 +9,9 @@ from scipy import sparse
 from scipy.special import expit
 
 from mal2gcn.fcg import Fcg, FunctionNode
-from mal2gcn.featurize import Vocabulary, embed_graph
+from mal2gcn.featurize import Vocabulary, embed_graph, vocabulary_digest
 from mal2gcn.gcn import (
+    MODEL_HEADER,
     PROB_CLAMP,
     READOUTS,
     ModelIOError,
@@ -568,6 +569,36 @@ class TestModelIO:
         assert back.nonneg_gcn and not back.nonneg_gclf
         for name, w in m.weights().items():
             assert np.array_equal(getattr(back, name), w), name
+
+    def test_load_holds_little_beyond_the_weights(self, tmp_path, rng):
+        # the file is read line by line into the model's own arrays: neither its text nor a list of rows is kept
+        d = 1000
+        big = Vocabulary(tuple(f"tok{i:04d}" for i in range(d)), (), (1.0,) * d, (), d, 1)
+        m = random_params(rng, d=d, h1=500, h2=250, hg=64)
+        path = tmp_path / "model.txt"
+        save_model(m, path, big)
+        tracemalloc.start()
+        try:
+            back = load_model(path, big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(getattr(back, name).tobytes() == w.tobytes() for name, w in m.weights().items())
+        assert peak <= 2 * sum(w.nbytes for w in m.weights().values())
+
+    def test_matrix_too_large_for_memory_is_refused(self, tmp_path, vocab):
+        # row 0 shows the width but not the row count: w_gcn2 claims 10^5 rows of 10^5 values (80 GB)
+        wide = 10**5
+        row = " ".join(["0.0"] * wide)
+        path = tmp_path / "model.txt"
+        path.write_text(
+            "\n".join([MODEL_HEADER, f"dims 3 {wide} {wide} 2", "flags nonneg_gcn=0 nonneg_gclf=0",
+                       f"vocab_sha256 {vocabulary_digest(vocab)}", f"matrix w_gcn1 3 {wide}", row, row, row,
+                       f"matrix w_gcn2 {wide} {wide}", row]) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ModelIOError, match="matrix w_gcn2"):  # too large, or truncated where memory allows it
+            load_model(path, vocab)
 
     @pytest.mark.parametrize("readout", ["avg", "sum", "max"])
     def test_readout_round_trips(self, tmp_path, rng, vocab, readout):

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from mal2gcn import fcg
 from mal2gcn.attack import POOL_HEADER, read_benign_pool
 from mal2gcn.fcg import DataError, read_corpus
 from mal2gcn.featurize import Vocabulary, read_vocabulary, vocabulary_digest
@@ -32,6 +33,8 @@ PARSERS = {
     ),
     "pool": (read_benign_pool, f"{POOL_HEADER}\n".encode(), ["api", "string", "Tok", "long string"]),
 }
+# the model again, with the fuzz starting inside the first matrix's rows
+PARSERS["model-rows"] = (PARSERS["model"][0], PARSERS["model"][1] + b"matrix w_gcn1 2 1\n0.5\n", PARSERS["model"][2])
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +54,20 @@ def test_any_bytes_parse_or_raise_data_error(input_path, name, data):
         read(input_path)
     except DataError:
         pass
+
+
+@pytest.mark.parametrize("name", sorted(PARSERS))
+def test_reader_closes_its_file_when_it_refuses_a_line(input_path, monkeypatch, name):
+    read, header, _ = PARSERS[name]
+    opened = []
+
+    def tracked_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(fcg, "open", tracked_open, raising=False)
+    input_path.write_bytes(header + b"\x01 not a row\n" * 100)
+    with pytest.raises(DataError) as refused:
+        read(input_path)
+    assert refused.tb is not None  # the traceback, still held, keeps the reader's frame and locals alive
+    assert len(opened) == 1 and opened[0].closed
