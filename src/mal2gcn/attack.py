@@ -1,20 +1,21 @@
-"""Additive evasion attacks at graph level, overhead sweeps, and monotonicity audits.
+"""Additive evasion attacks, overhead sweeps, and monotonicity audits.
 
 The attacker can only add content: benign tokens appended to existing
 functions (inject_existing) and never-executed functions wired in from an
 existing caller (add_dead_nodes).  The attack budget is expressed as a
-percentage of the victim graph's original token count.
+percentage of the victim graph's original token count.  An edit is a
+Perturbation of node and pool indices (generate_attack draws one), and
+apply_perturbation prepares the edited graph straight from the victim's
+adjacency and token counts, as prepare_fcg would prepare it.
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import sparse
 
-from .fcg import (
-    Corpus, DataError, Fcg, FunctionNode, LABEL_BENIGN, LABEL_MALWARE, normalize_fcg, report_lines, write_lines,
-)
+from .fcg import Corpus, DataError, Fcg, LABEL_BENIGN, LABEL_MALWARE, normalize_fcg, report_lines, write_lines
 from .featurize import (
     KIND_API,
     KIND_STRING,
@@ -88,24 +89,6 @@ class AttackConfig:
             raise ValueError("trials_per_sample must be >= 1")
 
 
-@dataclass(frozen=True)
-class Perturbation:
-    """Pure additions: tokens appended to named nodes, plus attached dead nodes."""
-
-    token_additions: dict  # node id -> (added api tokens, added string tokens)
-    new_nodes: tuple[FunctionNode, ...] = ()
-    attach_edges: tuple[tuple[str, str], ...] = ()  # (existing caller, new node)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.token_additions and not self.new_nodes
-
-    @property
-    def added_token_count(self) -> int:
-        existing = sum(len(a) + len(s) for a, s in self.token_additions.values())
-        return existing + sum(node.token_count for node in self.new_nodes)
-
-
 def _sample_rng_seed(seed: int, graph_id: str, trial: int) -> np.random.SeedSequence:
     digest = hashlib.sha256(graph_id.encode("utf-8")).digest()
     return np.random.SeedSequence([seed, trial, int.from_bytes(digest[:8], "big")])
@@ -124,54 +107,35 @@ def _split_budget(budget: int, modes) -> tuple[int, int]:
     return budget // 2, budget - budget // 2
 
 
-@dataclass(frozen=True)
-class _Draw:
-    """One trial's draws as index arrays in draw order; a smaller budget's are a prefix of each."""
+@dataclass(frozen=True, eq=False)
+class Perturbation:
+    """Pure additions as index arrays in draw order; a smaller budget's are a prefix of each.
+
+    Dead node j is added after the graph's nodes and holds the pool tokens
+    dead[j * TOKENS_PER_DEAD_NODE :][:TOKENS_PER_DEAD_NODE].  Two
+    perturbations are equal when their four arrays are.
+    """
 
     targets: np.ndarray  # node index each inject_existing token is appended to
     injected: np.ndarray  # pool index of each inject_existing token
     callers: np.ndarray  # node index that calls each dead node
-    dead: np.ndarray  # pool index of each dead-node token, TOKENS_PER_DEAD_NODE to a node
+    dead: np.ndarray  # pool index of each dead-node token
 
-    def prefix(self, budget: int, modes) -> "_Draw":
+    def __eq__(self, other):
+        if not isinstance(other, Perturbation):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    @property
+    def added_token_count(self) -> int:
+        return len(self.injected) + len(self.dead)
+
+    def prefix(self, budget: int, modes) -> "Perturbation":
         n_existing, n_dead = _split_budget(budget, modes)
         n_nodes = -(-n_dead // TOKENS_PER_DEAD_NODE)
-        return _Draw(self.targets[:n_existing], self.injected[:n_existing], self.callers[:n_nodes], self.dead[:n_dead])
-
-
-def _draw(g: Fcg, pool: BenignPool, budget: int, modes, seed: int, trial: int) -> _Draw:
-    """Draw a budget's targets and tokens with one bounded-integer call per mode.
-
-    Each call lists the bound of every draw in stream order: a (target,
-    token) pair per inject_existing token, and for add_dead_nodes a caller
-    before each TOKENS_PER_DEAD_NODE tokens.  numpy draws an array of bounds
-    exactly as it draws them one call at a time, so the draws equal those of
-    per-token calls, and a smaller budget's draws are a prefix of a larger's.
-    """
-    n_existing, n_dead = _split_budget(budget, modes)
-    targets = injected = callers = dead = np.zeros(0, dtype=np.int64)
-    ss_existing, ss_dead = _sample_rng_seed(seed, g.graph_id, trial).spawn(2)
-    if n_existing:
-        rng = np.random.default_rng(ss_existing)
-        chosen = rng.choice(g.n_nodes, size=max(1, int(round(TARGET_FRACTION * g.n_nodes))), replace=False)
-        pairs = rng.integers(0, np.tile([len(chosen), pool.size], n_existing))
-        targets, injected = chosen[pairs[0::2]], pairs[1::2]
-    if n_dead:
-        rng = np.random.default_rng(ss_dead)
-        stride = TOKENS_PER_DEAD_NODE + 1
-        bounds = np.full(n_dead + -(-n_dead // TOKENS_PER_DEAD_NODE), pool.size)
-        bounds[::stride] = g.n_nodes
-        draws = rng.integers(0, bounds)
-        callers, dead = draws[::stride], np.delete(draws, np.s_[::stride])
-    return _Draw(targets, injected, callers, dead)
-
-
-def _pool_tokens(pool: BenignPool, picked) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(api tokens, string tokens) at pool indices `picked`, apis numbered first."""
-    n_api = len(pool.apis)
-    picked = picked.tolist()
-    apis = tuple(pool.apis[k] for k in picked if k < n_api)
-    return apis, tuple(pool.strings[k - n_api] for k in picked if k >= n_api)
+        return Perturbation(
+            self.targets[:n_existing], self.injected[:n_existing], self.callers[:n_nodes], self.dead[:n_dead]
+        )
 
 
 def generate_attack(
@@ -190,10 +154,13 @@ def generate_attack(
     function, each called from a random existing one.  Both modes split the
     budget in half.
 
-    Deterministic per (graph, seed, trial, modes).  Each mode draws from its
-    own substream in budget order (see _draw), so for a fixed seed a larger
-    budget extends a smaller one (nested perturbations); attack_sweep scores
-    such prefixes of one draw without building the perturbation.
+    Deterministic per (graph id, seed, trial, modes), with one bounded-integer
+    call per mode on its own substream.  Each call lists the bound of every
+    draw in stream order: a (target, token) pair per inject_existing token,
+    and for add_dead_nodes a caller before each TOKENS_PER_DEAD_NODE tokens.
+    numpy draws an array of bounds exactly as it draws them one call at a
+    time, so the draws equal those of per-token calls, and a smaller budget's
+    draws are a prefix of a larger's (Perturbation.prefix).
     """
     if not 0 <= overhead_pct <= MAX_OVERHEAD_PCT:
         raise ValueError(f"overhead_pct must be a number from 0 to {MAX_OVERHEAD_PCT:g}")
@@ -201,41 +168,68 @@ def generate_attack(
     if not modes or any(m not in MODES for m in modes):
         raise ValueError(f"modes must be a non-empty subset of {MODES}")
 
-    draw = _draw(g, pool, _budget(g.total_token_count, overhead_pct), modes, seed, trial)
-    additions = {}
-    for target in dict.fromkeys(draw.targets.tolist()):  # nodes in order of their first token
-        additions[g.nodes[target].id] = _pool_tokens(pool, draw.injected[draw.targets == target])
-    existing = set(g.node_ids())
-    new_nodes, attach_edges = [], []
-    for chunk, caller in enumerate(draw.callers.tolist()):
-        node_id = f"dead{chunk:04d}"
-        while node_id in existing:
-            node_id = "x" + node_id
-        lo = chunk * TOKENS_PER_DEAD_NODE
-        new_nodes.append(FunctionNode(node_id, *_pool_tokens(pool, draw.dead[lo : lo + TOKENS_PER_DEAD_NODE])))
-        attach_edges.append((g.nodes[caller].id, node_id))
-    return Perturbation(additions, tuple(new_nodes), tuple(attach_edges))
+    n_existing, n_dead = _split_budget(_budget(g.total_token_count, overhead_pct), modes)
+    targets = injected = callers = dead = np.zeros(0, dtype=np.int64)
+    ss_existing, ss_dead = _sample_rng_seed(seed, g.graph_id, trial).spawn(2)
+    if n_existing:
+        rng = np.random.default_rng(ss_existing)
+        chosen = rng.choice(g.n_nodes, size=max(1, int(round(TARGET_FRACTION * g.n_nodes))), replace=False)
+        pairs = rng.integers(0, np.tile([len(chosen), pool.size], n_existing))
+        targets, injected = chosen[pairs[0::2]], pairs[1::2]
+    if n_dead:
+        rng = np.random.default_rng(ss_dead)
+        stride = TOKENS_PER_DEAD_NODE + 1
+        bounds = np.full(n_dead + -(-n_dead // TOKENS_PER_DEAD_NODE), pool.size)
+        bounds[::stride] = g.n_nodes
+        draws = rng.integers(0, bounds)
+        callers, dead = draws[::stride], np.delete(draws, np.s_[::stride])
+    return Perturbation(targets, injected, callers, dead)
 
 
-def apply_perturbation(g: Fcg, p: Perturbation) -> Fcg:
-    """Append tokens and attach dead nodes; the original graph is untouched."""
-    ids = set(g.node_ids())
-    for node_id in p.token_additions:
-        if node_id not in ids:
-            raise DataError(f"perturbation names unknown node {node_id}")
-    for caller, _ in p.attach_edges:
-        if caller not in ids:
-            raise DataError(f"perturbation attaches from unknown node {caller}")
+def apply_perturbation(
+    adj: NormalizedAdjacency, counts: sparse.coo_matrix, columns: np.ndarray, p: Perturbation
+) -> PreparedGraph:
+    """prepare_fcg of a normalized graph g with p's additions, from g's adjacency and token counts.
 
-    nodes = []
-    for node in g.nodes:
-        if node.id in p.token_additions:
-            add_apis, add_strings = p.token_additions[node.id]
-            nodes.append(FunctionNode(node.id, node.apis + tuple(add_apis), node.strings + tuple(add_strings)))
-        else:
-            nodes.append(node)
-    nodes.extend(p.new_nodes)
-    return Fcg(g.graph_id, g.label, g.main_id, tuple(nodes), g.edges + tuple(p.attach_edges))
+    columns[k] is the vocabulary column of pool token k, -1 outside the
+    vocabulary.  The drawn tokens add integer counts to their rows, and dead
+    nodes add rows below g's and an edge from each caller.  The counts are
+    exact and A @ X sums in A's storage order, so the result is bitwise the
+    one prepare_fcg builds of the edited graph.  An edit that names a node
+    outside g or a token outside the pool is refused as a DataError.
+    """
+    n, d = counts.shape
+    n_dead = len(p.callers)
+    for name, index, bound in (
+        ("targets", p.targets, n), ("callers", p.callers, n), ("injected", p.injected, len(columns)),
+        ("dead", p.dead, len(columns)),
+    ):
+        if len(index) and not 0 <= index.min() <= index.max() < bound:
+            raise DataError(f"perturbation {name} must lie in [0, {bound})")
+    if len(p.targets) != len(p.injected):
+        raise DataError(f"perturbation has {len(p.targets)} targets for {len(p.injected)} injected tokens")
+    if len(p.dead) > TOKENS_PER_DEAD_NODE * n_dead:
+        raise DataError(f"perturbation has {len(p.dead)} dead-node tokens for {n_dead} dead nodes")
+    rows = np.concatenate([counts.row, p.targets, n + np.arange(len(p.dead)) // TOKENS_PER_DEAD_NODE])
+    cols = np.concatenate([counts.col, columns[p.injected], columns[p.dead]])
+    data = np.concatenate([counts.data, np.ones(len(cols) - counts.nnz, dtype=np.int64)])
+    hit = cols >= 0  # in-vocabulary tokens
+    attacked = sparse.csr_matrix((data[hit], (rows[hit], cols[hit])), shape=(n + n_dead, d))  # repeats add up
+    if n_dead:
+        # g's stored entries already hold its edges both ways and its self-loops
+        own = np.repeat(np.arange(n), np.diff(adj.indptr))
+        adj = normalized_adjacency(
+            n + n_dead, np.concatenate([own, p.callers]), np.concatenate([adj.indices, n + np.arange(n_dead)])
+        )
+    return prepare_graph(adj, attacked)
+
+
+def _pool_columns(vocab: Vocabulary, pool: BenignPool) -> np.ndarray:
+    """The vocabulary column of each pool index, -1 outside the vocabulary."""
+    return np.array(
+        [vocab.column(t, KIND_API) for t in pool.apis] + [vocab.column(t, KIND_STRING) for t in pool.strings],
+        dtype=np.int64,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -270,33 +264,6 @@ class AttackReport:
     summary: tuple[OverheadSummary, ...]
 
 
-def _prepare_attacked(
-    adj: NormalizedAdjacency, counts: sparse.coo_matrix, columns: np.ndarray, draw: _Draw
-) -> PreparedGraph:
-    """prepare_fcg of the attacked graph, from the adjacency and counts of the sample g.
-
-    The attacked graph is normalize_fcg(apply_perturbation(g, p)), p the
-    perturbation of `draw`: the drawn tokens add integer counts to their
-    rows, and dead nodes add rows below g's and an edge from each caller.
-    The counts are exact and A @ X sums in A's storage order, so the result
-    is bitwise the one prepare_fcg builds.
-    """
-    n, d = counts.shape
-    n_dead = len(draw.callers)
-    rows = np.concatenate([counts.row, draw.targets, n + np.arange(len(draw.dead)) // TOKENS_PER_DEAD_NODE])
-    cols = np.concatenate([counts.col, columns[draw.injected], columns[draw.dead]])
-    data = np.concatenate([counts.data, np.ones(len(cols) - counts.nnz, dtype=np.int64)])
-    hit = cols >= 0  # in-vocabulary tokens
-    attacked = sparse.csr_matrix((data[hit], (rows[hit], cols[hit])), shape=(n + n_dead, d))  # repeats add up
-    if n_dead:
-        # g's stored entries already hold its edges both ways and its self-loops
-        own = np.repeat(np.arange(n), np.diff(adj.indptr))
-        adj = normalized_adjacency(
-            n + n_dead, np.concatenate([own, draw.callers]), np.concatenate([adj.indices, n + np.arange(n_dead)])
-        )
-    return prepare_graph(adj, attacked)
-
-
 def _attack_one(g, model, vocab, pool, columns, cfg: AttackConfig) -> SampleOutcome:
     """Score a sample at every overhead from one preparation and one draw per trial.
 
@@ -304,7 +271,7 @@ def _attack_one(g, model, vocab, pool, columns, cfg: AttackConfig) -> SampleOutc
     once.  Each trial draws once, at the largest budget, and each overhead
     scores a prefix of that draw: inject_existing reuses the adjacency,
     add_dead_nodes extends it by the added nodes.  Every score equals
-    score_graphs on the graph that generate_attack's perturbation gives.
+    score_graphs on the graph with generate_attack's additions.
     """
     g = normalize_fcg(g)  # attack the graph as it is scored
     adj = build_normalized_adjacency(g)
@@ -312,14 +279,16 @@ def _attack_one(g, model, vocab, pool, columns, cfg: AttackConfig) -> SampleOutc
     original = float(score_prepared(model, [prepare_graph(adj, counts)])[0])
     detected = original >= 0.5
     n_tokens = g.total_token_count
-    largest = _budget(n_tokens, cfg.overheads[-1])
-    draws = [_draw(g, pool, largest, cfg.modes, cfg.seed, trial) for trial in range(cfg.trials_per_sample)]
+    draws = [
+        generate_attack(g, pool, cfg.overheads[-1], cfg.modes, cfg.seed, trial=trial)
+        for trial in range(cfg.trials_per_sample)
+    ]
     counts = counts.tocoo()
     adv_scores = {}
     evaded = {}
     for overhead in cfg.overheads:
         budget = _budget(n_tokens, overhead)
-        prepared = [_prepare_attacked(adj, counts, columns, draw.prefix(budget, cfg.modes)) for draw in draws]
+        prepared = [apply_perturbation(adj, counts, columns, draw.prefix(budget, cfg.modes)) for draw in draws]
         worst = min(score_prepared(model, prepared).tolist())
         adv_scores[overhead] = worst
         evaded[overhead] = bool(detected and worst < 0.5)
@@ -342,10 +311,7 @@ def attack_sweep(
         if g.label != LABEL_MALWARE:
             raise DataError(f"attack corpus must be all-malware; graph {g.graph_id} is {g.label}")
 
-    columns = np.array(  # vocabulary column of each pool index, -1 outside the vocabulary
-        [vocab.column(t, KIND_API) for t in pool.apis] + [vocab.column(t, KIND_STRING) for t in pool.strings],
-        dtype=np.int64,
-    )
+    columns = _pool_columns(vocab, pool)
     outcomes = [_attack_one(g, model, vocab, pool, columns, cfg) for g in corpus.records]
 
     n_samples = len(outcomes)
@@ -369,19 +335,26 @@ def attack_sweep(
     return AttackReport(samples=tuple(outcomes), summary=tuple(summary))
 
 
-def generate_training_adversaries(records, pool: BenignPool, cfg: AttackConfig, count: int, seed: int):
-    """Attack-perturbed copies of training malware, for adversarial training."""
+def generate_training_adversaries(
+    records, vocab: Vocabulary, pool: BenignPool, cfg: AttackConfig, count: int, seed: int
+) -> list[PreparedGraph]:
+    """Prepared attack-perturbed copies of training malware, for train(..., adversaries=...).
+
+    Adversary i attacks a random malware record at a random positive
+    overhead of cfg (100% if it has none), with trial i of cfg's seed.
+    """
     malware = [g for g in records if g.label == LABEL_MALWARE]
     if not malware:
         raise DataError("adversarial training needs malware in the training corpus")
     positive_overheads = [o for o in cfg.overheads if o > 0] or [100.0]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xAD7]))
+    columns = _pool_columns(vocab, pool)
     out = []
     for i in range(count):
         g = normalize_fcg(malware[int(rng.integers(len(malware)))])
         overhead = positive_overheads[int(rng.integers(len(positive_overheads)))]
-        adv = apply_perturbation(g, generate_attack(g, pool, overhead, modes=cfg.modes, seed=cfg.seed, trial=i))
-        out.append(Fcg(f"{g.graph_id}#adv{i:04d}", adv.label, adv.main_id, adv.nodes, adv.edges))
+        p = generate_attack(g, pool, overhead, cfg.modes, cfg.seed, trial=i)
+        out.append(apply_perturbation(build_normalized_adjacency(g), embed_graph(g, vocab).counts.tocoo(), columns, p))
     return out
 
 
@@ -420,7 +393,7 @@ def check_monotonicity(
 ) -> MonotonicityReport:
     """Score random non-negative integer feature additions on corpus graphs.
 
-    Each trial is prepared by _prepare_attacked, bitwise as prepare_fcg
+    Each trial is prepared by apply_perturbation, bitwise as prepare_fcg
     prepares the edited graph.  A fully non-negative model must never score
     a trial's logit strictly below the unedited graph's: every term is
     non-negative until the biases, round-to-nearest sums and products are
@@ -457,8 +430,8 @@ def check_monotonicity(
         rows = rng.integers(adj.n, size=n_edits)
         cols = rng.integers(vocab.size, size=n_edits)
         amounts = rng.integers(1, 4, size=n_edits)
-        draw = _Draw(np.repeat(rows, amounts), np.repeat(cols, amounts), none, none)
-        after, cache = forward(model, _prepare_attacked(adj, counts, columns, draw))
+        edit = Perturbation(np.repeat(rows, amounts), np.repeat(cols, amounts), none, none)
+        after, cache = forward(model, apply_perturbation(adj, counts, columns, edit))
         if cache.z4[0] < base_z4:
             violations.append(MonotonicityViolation(g.graph_id, trial, base, after))
 

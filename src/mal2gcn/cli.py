@@ -269,15 +269,15 @@ def _cmd_train(args) -> int:
     val_corpus = read_corpus(args.val, strict=args.strict)
     vocab = read_vocabulary(args.vocab)
 
-    adversarial = ""
+    adversaries, adversarial = [], ""
     if args.adv_train:
-        records = train_corpus.records
         pool = derive_benign_pool(train_corpus)
-        extra = generate_training_adversaries(records, pool, AttackConfig(seed=args.seed), args.adv_train, seed=args.seed)
-        train_corpus = Corpus(records + tuple(extra), train_corpus.provenance)
-        adversarial = f"; added {len(extra)} adversarial graphs drawn from a derived pool of {pool.size} benign tokens"
+        adversaries = generate_training_adversaries(
+            train_corpus.records, vocab, pool, AttackConfig(seed=args.seed), args.adv_train, seed=args.seed
+        )
+        adversarial = f"; added {len(adversaries)} adversarial graphs drawn from a derived pool of {pool.size} benign tokens"
 
-    model, report = train(train_corpus, val_corpus, vocab, cfg)
+    model, report = train(train_corpus, val_corpus, vocab, cfg, adversaries)
     save_model(model, args.model, vocab)
     if args.out:
         meta = {

@@ -311,11 +311,16 @@ def _vocabulary_sizes(header: str) -> tuple[int, int] | None:
 
 
 def read_vocabulary(path) -> Vocabulary:
-    """Read a vocabulary file: a token table whose header gives k_api and k_str, each row ending in a finite score."""
-    (k_api, k_str), rows = read_token_table(path, _vocabulary_sizes, 3)
+    """Read a vocabulary file: a token table whose header gives k_api and k_str, each row ending in a finite score.
+
+    A kind has at most its header size of rows, as build_vocabulary writes it.
+    """
+    sizes, rows = read_token_table(path, _vocabulary_sizes, 3)
     scores = {kind: [] for kind in KINDS}
-    for kind in KINDS:
-        for lineno, text in rows[kind].values():
+    for kind, k in zip(KINDS, sizes):
+        for i, (lineno, text) in enumerate(rows[kind].values()):
+            if i == k:
+                raise FormatError(f"{path} line {lineno}: {kind} row {k + 1} exceeds the header's size {k}")
             try:
                 score = float(text)
             except ValueError:
@@ -325,7 +330,7 @@ def read_vocabulary(path) -> Vocabulary:
             scores[kind].append(score)
     vocab = Vocabulary(
         tuple(rows[KIND_API]), tuple(rows[KIND_STRING]), tuple(scores[KIND_API]), tuple(scores[KIND_STRING]),
-        k_api, k_str,
+        *sizes,
     )
     if vocab.size == 0:
         raise FormatError(f"{path}: vocabulary has no tokens")

@@ -1,8 +1,8 @@
 """Adam training loop with early stopping and per-epoch non-negative projection.
 
 `train` fits the corpora and config it is given; adversarial augmentation, if
-any, is the caller's: extend the training corpus with
-`attack.generate_training_adversaries` before calling it.
+any, is the caller's: pass the prepared graphs that
+`attack.generate_training_adversaries` returns as `adversaries`.
 """
 
 from dataclasses import dataclass
@@ -139,12 +139,14 @@ def _eval_split(params: ModelParams, prepared, labels):
 
 
 def train(
-    train_corpus: Corpus, val_corpus: Corpus, vocab: Vocabulary, cfg: TrainConfig
+    train_corpus: Corpus, val_corpus: Corpus, vocab: Vocabulary, cfg: TrainConfig, adversaries=()
 ) -> tuple[ModelParams, TrainReport]:
     """Train from scratch; returns the (projected) weights of the best validation epoch.
 
-    Deterministic for a fixed (corpora, vocabulary, config): weight init and
-    epoch shuffles both derive from cfg.seed.
+    `adversaries` is a sequence of prepared graphs trained on as malware,
+    after the training corpus's graphs.  Deterministic for a fixed (corpora,
+    adversaries, vocabulary, config): weight init and epoch shuffles both
+    derive from cfg.seed.
     """
     _check_labeled(train_corpus, "train")
     _check_labeled(val_corpus, "validation")
@@ -155,6 +157,8 @@ def train(
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
 
     train_prepared, train_labels = _prepare_labeled(train_corpus.records, vocab)
+    train_prepared += adversaries
+    train_labels = np.concatenate([train_labels, np.ones(len(adversaries))])
     val_prepared, val_labels = _prepare_labeled(val_corpus.records, vocab)
 
     d = vocab.size

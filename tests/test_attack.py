@@ -4,11 +4,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from mal2gcn import attack
 from mal2gcn.attack import (
     MAX_OVERHEAD_PCT,
+    TOKENS_PER_DEAD_NODE,
     AttackConfig,
     BenignPool,
-    Perturbation,
     apply_perturbation,
     attack_sweep,
     check_monotonicity,
@@ -20,10 +21,10 @@ from mal2gcn.attack import (
     write_benign_pool,
 )
 from mal2gcn.cli import EXIT_OK, run
-from mal2gcn.fcg import Corpus, DataError, Fcg, FunctionNode, normalize_fcg, validate_fcg
+from mal2gcn.fcg import LABEL_MALWARE, Corpus, DataError, Fcg, FunctionNode, normalize_fcg, validate_fcg
 from mal2gcn.featurize import Vocabulary, build_vocabulary, embed_graph
 from mal2gcn import gcn
-from mal2gcn.gcn import build_normalized_adjacency, forward, prepare_graph, score_graphs
+from mal2gcn.gcn import PreparedGraph, build_normalized_adjacency, forward, prepare_fcg, prepare_graph, score_graphs
 from mal2gcn.synth import SynthConfig, generate_corpus, split_corpus
 from mal2gcn.train import TrainConfig, train
 
@@ -38,6 +39,87 @@ def pool():
     )
 
 
+# ---------------------------------------------------------------------------
+# Graph-level reference: the same additions as tokens on an Fcg.  attack.py
+# prepares them from index arrays; these build the edited graph itself, which
+# prepare_fcg(normalize_fcg(...)) must prepare bitwise alike.
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class Perturbation:
+    """Pure additions: tokens appended to named nodes, plus attached dead nodes."""
+
+    token_additions: dict  # node id -> (added api tokens, added string tokens)
+    new_nodes: tuple[FunctionNode, ...] = ()
+    attach_edges: tuple[tuple[str, str], ...] = ()  # (existing caller, new node)
+
+
+def pool_tokens(pool, picked):
+    """(api tokens, string tokens) at pool indices `picked`, apis numbered first."""
+    n_api = len(pool.apis)
+    picked = picked.tolist()
+    apis = tuple(pool.apis[k] for k in picked if k < n_api)
+    return apis, tuple(pool.strings[k - n_api] for k in picked if k >= n_api)
+
+
+def reference_attack(g, pool, overhead_pct, modes=attack.MODES, seed=0, *, trial=0):
+    """generate_attack's draw as named tokens: dead nodes are dead0000, dead0001, ... x-prefixed until new."""
+    draw = generate_attack(g, pool, overhead_pct, modes, seed, trial=trial)
+    additions = {}
+    for target in dict.fromkeys(draw.targets.tolist()):  # nodes in order of their first token
+        additions[g.nodes[target].id] = pool_tokens(pool, draw.injected[draw.targets == target])
+    existing = set(g.node_ids())
+    new_nodes, attach_edges = [], []
+    for chunk, caller in enumerate(draw.callers.tolist()):
+        node_id = f"dead{chunk:04d}"
+        while node_id in existing:
+            node_id = "x" + node_id
+        lo = chunk * TOKENS_PER_DEAD_NODE
+        new_nodes.append(FunctionNode(node_id, *pool_tokens(pool, draw.dead[lo : lo + TOKENS_PER_DEAD_NODE])))
+        attach_edges.append((g.nodes[caller].id, node_id))
+    return Perturbation(additions, tuple(new_nodes), tuple(attach_edges))
+
+
+def reference_apply(g, p):
+    """g with p's tokens appended and its dead nodes attached after g's nodes."""
+    nodes = []
+    for node in g.nodes:
+        if node.id in p.token_additions:
+            add_apis, add_strings = p.token_additions[node.id]
+            nodes.append(FunctionNode(node.id, node.apis + tuple(add_apis), node.strings + tuple(add_strings)))
+        else:
+            nodes.append(node)
+    nodes.extend(p.new_nodes)
+    return Fcg(g.graph_id, g.label, g.main_id, tuple(nodes), g.edges + tuple(p.attach_edges))
+
+
+def reference_adversaries(records, pool, cfg, count, seed):
+    """The graphs generate_training_adversaries prepares, each renamed <graph_id>#adv<i>."""
+    malware = [g for g in records if g.label == LABEL_MALWARE]
+    positive_overheads = [o for o in cfg.overheads if o > 0] or [100.0]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xAD7]))
+    out = []
+    for i in range(count):
+        g = normalize_fcg(malware[int(rng.integers(len(malware)))])
+        overhead = positive_overheads[int(rng.integers(len(positive_overheads)))]
+        adv = reference_apply(g, reference_attack(g, pool, overhead, modes=cfg.modes, seed=cfg.seed, trial=i))
+        out.append(Fcg(f"{g.graph_id}#adv{i:04d}", adv.label, adv.main_id, adv.nodes, adv.edges))
+    return out
+
+
+def index_arrays(p):
+    return [p.targets, p.injected, p.callers, p.dead]
+
+
+def assert_bitwise_equal(a: PreparedGraph, b: PreparedGraph):
+    assert a.n == b.n
+    for x, y in ((a.adj, b.adj), (a.ax, b.ax)):
+        for field in ("data", "indices", "indptr"):
+            u, v = getattr(x, field), getattr(y, field)
+            assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), field
+
+
 def victim(n_tokens_per_node=5, n_nodes=4):
     nodes = tuple(
         FunctionNode(f"n{i}" if i else "main", ("evilapi",) * n_tokens_per_node, ())
@@ -50,13 +132,14 @@ def victim(n_tokens_per_node=5, n_nodes=4):
 class TestGenerateAttack:
     def test_zero_overhead_is_empty(self, pool):
         p = generate_attack(victim(), pool, 0.0, seed=1)
-        assert p.is_empty
+        assert all(len(a) == 0 for a in index_arrays(p))
         assert p.added_token_count == 0
 
     def test_overhead_100_doubles_the_token_count(self, pool):
         g = victim(n_tokens_per_node=10, n_nodes=4)  # 40 tokens
         p = generate_attack(g, pool, 100.0, seed=1)
         assert p.added_token_count == 40
+        assert type(p.added_token_count) is int  # JSON-serializable
 
     def test_deterministic_per_graph_seed_config(self, pool):
         a = generate_attack(victim(), pool, 80.0, seed=9)
@@ -65,34 +148,37 @@ class TestGenerateAttack:
         c = generate_attack(victim(), pool, 80.0, seed=10)
         assert a != c
 
-    def test_nested_budgets_share_a_prefix(self, pool):
+    @pytest.mark.parametrize("mode_set", ["existing", "dead", "both"])
+    def test_nested_budgets_share_a_prefix(self, pool, mode_set):
         g = victim(n_tokens_per_node=10)
-        small = generate_attack(g, pool, 50.0, modes=("inject_existing",), seed=4)
-        large = generate_attack(g, pool, 200.0, modes=("inject_existing",), seed=4)
-        for node_id, (apis, strings) in small.token_additions.items():
-            big_apis, big_strings = large.token_additions[node_id]
-            assert big_apis[: len(apis)] == apis
-            assert big_strings[: len(strings)] == strings
+        modes = MODE_SETS[mode_set]
+        small = generate_attack(g, pool, 50.0, modes=modes, seed=4)
+        large = generate_attack(g, pool, 200.0, modes=modes, seed=4)
+        for x, y in zip(index_arrays(small), index_arrays(large)):
+            assert np.array_equal(x, y[: len(x)])
+        assert large.prefix(small.added_token_count, modes) == small
 
     def test_dead_node_chunking(self, pool):
         g = victim(n_tokens_per_node=10)  # 40 tokens
         p = generate_attack(g, pool, 100.0, modes=("add_dead_nodes",), seed=2)
-        assert len(p.new_nodes) == 2  # ceil(40 / 20)
-        assert sum(n.token_count for n in p.new_nodes) == 40
-        assert len(p.attach_edges) == 2
-        callers = {c for c, _ in p.attach_edges}
-        assert callers <= set(g.node_ids())
+        assert len(p.callers) == 2  # ceil(40 / 20)
+        assert len(p.dead) == 40
+        assert len(p.injected) == len(p.targets) == 0
+        assert set(p.callers.tolist()) <= set(range(g.n_nodes))
 
     def test_combined_modes_split_the_budget(self, pool):
         g = victim(n_tokens_per_node=10)
         p = generate_attack(g, pool, 100.0, seed=2)
-        existing = sum(len(a) + len(s) for a, s in p.token_additions.values())
-        dead = sum(n.token_count for n in p.new_nodes)
-        assert existing == 20 and dead == 20
+        assert len(p.injected) == 20 and len(p.dead) == 20
 
     def test_negative_overhead_rejected(self, pool):
         with pytest.raises(ValueError):
             generate_attack(victim(), pool, -1.0)
+
+    @pytest.mark.parametrize("modes", [(), ("teleport",)])
+    def test_unknown_or_no_modes_rejected(self, pool, modes):
+        with pytest.raises(ValueError, match="modes"):
+            generate_attack(victim(), pool, 10.0, modes=modes)
 
     def test_empty_pool_cannot_be_constructed(self):
         with pytest.raises(DataError, match="empty"):
@@ -111,7 +197,7 @@ MODE_SETS = {
     "both": ("inject_existing", "add_dead_nodes"),
 }
 
-# sha256 of repr(generate_attack(victim(10, 6), pool, overhead, modes, seed, trial)), recorded from
+# sha256 of repr(reference_attack(victim(10, 6), pool, overhead, modes, seed, trial)), recorded from
 # the per-token scalar draws that the vectorized draw replaced: (mode set, overhead, seed, trial) -> digest
 PERTURBATION_DIGESTS = {
     ("existing", 5.0, 3, 0): "c4eda6f0b44babd366c059833cfb281be91f48f3887520c994dea647a63ff048",
@@ -151,7 +237,7 @@ PERTURBATION_DIGESTS = {
     ("both", 500.0, 11, 0): "962f4e0e298d96efa11242dc919d8f0a9325ee0ae2eddd54c05aba1d624ab170",
     ("both", 500.0, 11, 1): "9401d33dd7d3e934479ae199d1089a4ab548b97041e993a9b2b1197839aa4f21",
 }
-# sha256 of repr(generate_training_adversaries(...)) in test_training_adversaries_are_pinned, same origin
+# sha256 of repr(reference_adversaries(...)) in test_training_adversaries_are_pinned, same origin
 ADVERSARIES_DIGEST = "7c3383fdb8bea6fe9c30dfcb2c4a657301fa0e663eaa54719f9f4561e45b66b3"
 # sha256 of every artifact of acceptance c8's workspace, plus `train --out` and `eval --out --roc-out`:
 # the attack report's scores come from the same per-token draws, and its model_sha256 is that of a
@@ -180,12 +266,13 @@ class TestRandomStreamPinned:
     @pytest.mark.parametrize("case", sorted(PERTURBATION_DIGESTS), ids=str)
     def test_perturbation_is_pinned(self, pool, case):
         mode_set, overhead, seed, trial = case
-        p = generate_attack(victim(10, 6), pool, overhead, modes=MODE_SETS[mode_set], seed=seed, trial=trial)
+        p = reference_attack(victim(10, 6), pool, overhead, modes=MODE_SETS[mode_set], seed=seed, trial=trial)
         assert sha256_of_repr(p) == PERTURBATION_DIGESTS[case]
 
     def test_small_perturbation_spelled_out(self, pool):
         p = generate_attack(victim(10, 6), pool, 5.0, seed=3)  # 3 tokens: 1 appended, 2 in one dead node
-        assert p == Perturbation(
+        assert p == attack.Perturbation(*(np.array(a) for a in ([3], [5], [4], [1, 5])))
+        assert reference_attack(victim(10, 6), pool, 5.0, seed=3) == Perturbation(
             {"n3": ((), ("click to continue",))},
             (FunctionNode("dead0000", ("loadlibraryw",), ("click to continue",)),),
             (("n4", "dead0000"),),
@@ -193,7 +280,7 @@ class TestRandomStreamPinned:
 
     def test_training_adversaries_are_pinned(self, trained_setup):
         _, pool, _, _, malware = trained_setup
-        adversaries = generate_training_adversaries(list(malware.records), pool, AttackConfig(seed=7), 12, seed=5)
+        adversaries = reference_adversaries(list(malware.records), pool, AttackConfig(seed=7), 12, seed=5)
         assert sha256_of_repr(adversaries) == ADVERSARIES_DIGEST
 
     def test_c8_attack_report_is_pinned(self, tmp_path):
@@ -219,45 +306,65 @@ class TestRandomStreamPinned:
 
 
 class TestApplyPerturbation:
-    def test_empty_perturbation_is_identity(self):
-        g = victim()
-        assert apply_perturbation(g, Perturbation({})) == g
+    VOCAB = Vocabulary(("getwindowtexta", "evilapi"), (), (1.0, 1.0), (), 2, 0)
+    COLUMNS = np.array([0, -1, -1, -1, -1, -1])  # the pool fixture's columns in VOCAB
 
-    def test_token_addition_bumps_embedding_count_by_one(self, pool):
-        vocab = Vocabulary(("getwindowtexta", "evilapi"), (), (1.0, 1.0), (), 2, 0)
+    def edit(self, targets=(), injected=(), callers=(), dead=()):
         g = victim()
-        p = Perturbation({"n1": (("getwindowtexta",), ())})
-        before = embed_graph(g, vocab).counts.toarray()
-        after = embed_graph(apply_perturbation(g, p), vocab).counts.toarray()
-        assert (after - before).sum() == 1
-        assert after[1, 0] - before[1, 0] == 1
+        p = attack.Perturbation(*(np.array(a, dtype=np.int64) for a in (targets, injected, callers, dead)))
+        adj, counts = build_normalized_adjacency(g), embed_graph(g, self.VOCAB).counts
+        return adj, counts, apply_perturbation(adj, counts.tocoo(), self.COLUMNS, p)
+
+    def test_empty_perturbation_prepares_the_graph(self):
+        adj, counts, attacked = self.edit()
+        assert_bitwise_equal(attacked, prepare_graph(adj, counts))
+
+    def test_token_addition_adds_one_count(self):
+        adj, counts, attacked = self.edit(targets=[1], injected=[0])
+        x = counts.toarray()
+        x[1, 0] += 1
+        assert_bitwise_equal(attacked, prepare_graph(adj, x))
+
+    def test_out_of_vocabulary_tokens_add_nothing(self):
+        adj, counts, attacked = self.edit(targets=[1, 2], injected=[1, 5])
+        assert_bitwise_equal(attacked, prepare_graph(adj, counts))
 
     def test_dead_node_adds_one_node_and_one_edge(self):
-        g = victim()
-        node = FunctionNode("dead0000", ("loadlibraryw",) * 5, ())
-        p = Perturbation({}, (node,), (("main", "dead0000"),))
-        adv = apply_perturbation(g, p)
-        assert adv.n_nodes == g.n_nodes + 1
-        assert len(adv.edges) == len(g.edges) + 1
-        assert adv.label == g.label
+        adj, _, attacked = self.edit(callers=[0], dead=[0, 3, 0])
+        assert attacked.n == adj.n + 1
+        assert attacked.adj.nnz == len(adj.values) + 3  # the edge both ways and the new self-loop
 
-    def test_unknown_node_rejected(self):
-        with pytest.raises(DataError, match="unknown node"):
-            apply_perturbation(victim(), Perturbation({"ghost": (("x",), ())}))
+    @pytest.mark.parametrize("target", [4, -1])
+    def test_unknown_node_rejected(self, target):
+        with pytest.raises(DataError, match=r"targets must lie in \[0, 4\)"):
+            self.edit(targets=[1, target], injected=[0, 0])
 
-    def test_unknown_attach_caller_rejected(self):
-        node = FunctionNode("dead0000", (), ("long string",))
-        with pytest.raises(DataError, match="unknown node"):
-            apply_perturbation(victim(), Perturbation({}, (node,), (("ghost", "dead0000"),)))
+    @pytest.mark.parametrize("caller", [4, -1])
+    def test_unknown_attach_caller_rejected(self, caller):
+        with pytest.raises(DataError, match=r"callers must lie in \[0, 4\)"):
+            self.edit(callers=[0, caller], dead=[0] * 21)
 
-    def test_perturbed_graph_stays_valid_and_normalized(self, pool):
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (dict(targets=[1], injected=[6]), r"injected must lie in \[0, 6\)"),
+            (dict(callers=[0], dead=[0, -1]), r"dead must lie in \[0, 6\)"),
+            (dict(targets=[1, 2], injected=[0]), "2 targets for 1 injected tokens"),
+            (dict(callers=[0], dead=[0] * 21), "21 dead-node tokens for 1 dead nodes"),
+        ],
+        ids=["injected", "dead", "targets-length", "dead-length"],
+    )
+    def test_malformed_edit_rejected(self, edit, message):
+        with pytest.raises(DataError, match=message):
+            self.edit(**edit)
+
+    def test_reference_graph_stays_valid_and_normalized(self, pool):
         g = victim(n_tokens_per_node=8)
-        p = generate_attack(g, pool, 300.0, seed=6)
-        adv = apply_perturbation(g, p)
+        adv = reference_apply(g, reference_attack(g, pool, 300.0, seed=6))
         assert validate_fcg(adv).ok
         assert normalize_fcg(adv) == adv
 
-    def test_never_decreases_existing_node_features(self, pool):
+    def test_reference_never_decreases_existing_node_features(self, pool):
         vocab = Vocabulary(
             ("evilapi", "getwindowtexta", "loadlibraryw", "printmessage"),
             ("hello world", "settings loaded", "click to continue"),
@@ -267,10 +374,20 @@ class TestApplyPerturbation:
             3,
         )
         g = victim()
-        p = generate_attack(g, pool, 250.0, seed=8)
         before = embed_graph(g, vocab).counts.toarray()
-        after = embed_graph(apply_perturbation(g, p), vocab).counts.toarray()
+        after = embed_graph(reference_apply(g, reference_attack(g, pool, 250.0, seed=8)), vocab).counts.toarray()
         assert (after[: g.n_nodes] >= before).all()
+
+    @pytest.mark.parametrize("overhead", [0.0, 5.0, 50.0, 300.0])
+    @pytest.mark.parametrize("mode_set", sorted(MODE_SETS))
+    def test_equals_preparing_the_reference_graph(self, pool, mode_set, overhead):
+        vocab = Vocabulary(("evilapi", "loadlibraryw"), ("hello world",), (1.0, 1.0), (1.0,), 2, 1)
+        columns = np.array([-1, 1, -1, 2, -1, -1])
+        g = victim(n_tokens_per_node=7, n_nodes=5)
+        p = generate_attack(g, pool, overhead, MODE_SETS[mode_set], seed=3)
+        attacked = apply_perturbation(build_normalized_adjacency(g), embed_graph(g, vocab).counts.tocoo(), columns, p)
+        reference = reference_apply(g, reference_attack(g, pool, overhead, MODE_SETS[mode_set], seed=3))
+        assert_bitwise_equal(attacked, prepare_fcg(normalize_fcg(reference), vocab))
 
 
 @pytest.fixture(scope="module")
@@ -352,7 +469,7 @@ class TestAttackSweep:
             g = normalize_fcg(g)
             for overhead in cfg.overheads:
                 scores = [
-                    score_graphs(plain, [apply_perturbation(g, generate_attack(
+                    score_graphs(plain, [reference_apply(g, reference_attack(
                         g, pool, overhead, modes=cfg.modes, seed=cfg.seed, trial=trial))], vocab)[0]
                     for trial in (0, 1)
                 ]
@@ -378,8 +495,8 @@ class TestAttackSweep:
             assert outcome.original_score == score_graphs(model, [g], vocab)[0]
             for overhead in cfg.overheads:
                 perturbed = [
-                    apply_perturbation(
-                        g, generate_attack(g, pool, overhead, modes=cfg.modes, seed=cfg.seed, trial=trial)
+                    reference_apply(
+                        g, reference_attack(g, pool, overhead, modes=cfg.modes, seed=cfg.seed, trial=trial)
                     )
                     for trial in range(trials)
                 ]
@@ -388,7 +505,7 @@ class TestAttackSweep:
     def test_dead_node_ids_avoid_existing_names(self, trained_setup):
         _, pool, _, _, malware = trained_setup
         g = normalize_fcg(with_dead_node_names(malware.records[0]))
-        p = generate_attack(g, pool, 200.0, modes=("add_dead_nodes",), seed=29)
+        p = reference_attack(g, pool, 200.0, modes=("add_dead_nodes",), seed=29)
         assert p.new_nodes[0].id == "xxdead0000"
         assert p.new_nodes[1].id == "dead0001"
 
@@ -426,24 +543,38 @@ class TestAttackSweep:
 
 
 class TestTrainingAdversaries:
-    def test_count_labels_and_unique_ids(self, trained_setup):
+    def test_count_and_type(self, trained_setup):
         vocab, pool, _, _, malware = trained_setup
-        adv = generate_training_adversaries(list(malware.records), pool, AttackConfig(seed=7), 12, seed=5)
+        adv = generate_training_adversaries(list(malware.records), vocab, pool, AttackConfig(seed=7), 12, seed=5)
         assert len(adv) == 12
+        assert all(isinstance(pg, PreparedGraph) and pg.ax.shape[1] == vocab.size for pg in adv)
+
+    def test_reference_labels_and_unique_ids(self, trained_setup):
+        _, pool, _, _, malware = trained_setup
+        adv = reference_adversaries(list(malware.records), pool, AttackConfig(seed=7), 12, seed=5)
         assert all(g.label == "malware" for g in adv)
         assert len({g.graph_id for g in adv}) == 12
 
+    def test_each_equals_preparing_its_reference_graph(self, trained_setup):
+        vocab, pool, _, _, malware = trained_setup
+        records, cfg = list(malware.records), AttackConfig(seed=7)
+        adv = generate_training_adversaries(records, vocab, pool, cfg, 30, seed=5)
+        reference = reference_adversaries(records, pool, cfg, 30, seed=5)
+        for pg, g in zip(adv, reference):
+            assert_bitwise_equal(pg, prepare_fcg(normalize_fcg(g), vocab))
+
     def test_deterministic(self, trained_setup):
         vocab, pool, _, _, malware = trained_setup
-        a = generate_training_adversaries(list(malware.records), pool, AttackConfig(seed=7), 5, seed=5)
-        b = generate_training_adversaries(list(malware.records), pool, AttackConfig(seed=7), 5, seed=5)
-        assert a == b
+        a = generate_training_adversaries(list(malware.records), vocab, pool, AttackConfig(seed=7), 5, seed=5)
+        b = generate_training_adversaries(list(malware.records), vocab, pool, AttackConfig(seed=7), 5, seed=5)
+        for x, y in zip(a, b, strict=True):
+            assert_bitwise_equal(x, y)
 
     def test_requires_malware(self, trained_setup):
-        _, pool, _, _, _ = trained_setup
+        vocab, pool, _, _, _ = trained_setup
         benign = [Fcg("b", "benign", "main", (FunctionNode("main"),), ())]
         with pytest.raises(DataError):
-            generate_training_adversaries(benign, pool, AttackConfig(), 3, seed=1)
+            generate_training_adversaries(benign, vocab, pool, AttackConfig(), 3, seed=1)
 
 
 class TestCheckMonotonicity:

@@ -613,6 +613,18 @@ class TestExitCodes:
         assert run(["inspect", "--corpus", f"{corpus}.test", "--vocab", str(bad)]) == EXIT_DATA
         assert capsys.readouterr().err == f"mal2gcn: data error: {bad}: missing or malformed header\n"
 
+    def test_vocabulary_with_more_rows_than_its_header_size_is_data_error(self, workspace, tmp_path, capsys):
+        _, corpus, vocab, _ = workspace
+        bad = tmp_path / "vocab.tsv"
+        rows = vocab.read_text(encoding="utf-8").split("\n", 1)[1]
+        k_api = sum(row.startswith("api\t") for row in rows.splitlines())
+        bad.write_text(f"#mal2gcn-vocab v1 k_api={k_api - 1} k_str=120\n{rows}", encoding="utf-8")
+        assert run(["inspect", "--corpus", f"{corpus}.test", "--vocab", str(bad)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"mal2gcn: data error: {bad} line {k_api + 1}: api row {k_api} exceeds the header's size {k_api - 1}\n"
+        )
+        assert list(tmp_path.iterdir()) == [bad]
+
     def test_strict_mode_rejects_unknown_fields(self, workspace, tmp_path):
         record = {"graph_id": "g", "label": "benign", "main": "main",
                   "nodes": [{"id": "main", "apis": [], "strings": []}], "edges": [],
@@ -803,13 +815,14 @@ class TestDeterminism:
 
         # the library path with the generated pool, as `train --adv-train` ran it when it took a pool file
         train_corpus, vocab = read_corpus(f"{corpus}.train"), read_vocabulary(vocab_path)
-        records = train_corpus.records
-        extra = generate_training_adversaries(records, read_benign_pool(f"{corpus}.pool"), AttackConfig(seed=9), 10, seed=9)
+        pool = read_benign_pool(f"{corpus}.pool")
+        adversaries = generate_training_adversaries(train_corpus.records, vocab, pool, AttackConfig(seed=9), 10, seed=9)
         model, _ = train(
-            Corpus(records + tuple(extra), train_corpus.provenance),
+            train_corpus,
             read_corpus(f"{corpus}.val"),
             vocab,
             TrainConfig(max_epochs=3, h1=16, h2=8, hg=4, seed=9),
+            adversaries=adversaries,
         )
         save_model(model, tmp_path / "pool.txt", vocab)
         assert digest(tmp_path / "pool.txt") == ADV_TRAIN_DIGESTS["pool"]

@@ -233,7 +233,7 @@ TABLES = {
         write_vocabulary,
         "#mal2gcn-vocab v1 k_api=1 k_str=1",
         "\t1.0",
-        lambda apis, strings: Vocabulary(apis, strings, (1.0,) * len(apis), (1.0,) * len(strings), 1, 1),
+        lambda apis, strings: Vocabulary(apis, strings, (1.0,) * len(apis), (1.0,) * len(strings), len(apis), len(strings)),
     ),
     "pool": TokenTable(read_benign_pool, write_benign_pool, POOL_HEADER, "", BenignPool),
 }
@@ -351,6 +351,21 @@ class TestVocabularyFile:
     def test_header_without_sizes_rejected(self, tmp_path, header):
         path = write_table(TABLES["vocab"], tmp_path, "api\ttoka", header=header)
         with pytest.raises(FormatError, match="header"):
+            read_vocabulary(path)
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            (["api\ttoka\t1.0", "api\ttokb\t1.0", "string\tlong string\t1.0"], 3),
+            (["api\ttoka\t1.0", "string\tlong string\t1.0", "", "string\tlonger string\t1.0"], 5),
+        ],
+        ids=["api", "string"],
+    )
+    def test_more_rows_of_a_kind_than_its_header_size_rejected(self, tmp_path, rows, line):
+        # build_vocabulary keeps at most k tokens of a kind, so a shortfall is never negative
+        path = tmp_path / "vocab.tsv"
+        path.write_text("\n".join(["#mal2gcn-vocab v1 k_api=1 k_str=1", *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=f"^{path} line {line}: .* exceeds the header's size 1$"):
             read_vocabulary(path)
 
     def test_vocabulary_without_tokens_rejected(self, tmp_path):

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import importlib.util
 import os
 import subprocess
@@ -113,3 +115,17 @@ def test_run_pipeline_writes_every_artifact_and_the_summary(tmp_path):
         expected |= {f"model.{variant}.txt", f"train.{variant}.txt", f"metrics.{variant}.txt", f"attack.{variant}.tsv"}
     assert {p.name for p in work.iterdir()} == expected
     assert all((work / name).stat().st_size > 0 for name in expected)
+
+
+def test_every_function_the_benchmark_traces_exists():
+    # perfbench/layers.py wraps each (module, function) of TRACED and refuses to run without it
+    tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text(encoding="utf-8"))
+    traced = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"]
+    )
+    pairs = ast.literal_eval(traced)
+    assert pairs
+    for module_name, fn_name in pairs:
+        module = importlib.import_module(f"mal2gcn.{module_name}")
+        assert callable(getattr(module, fn_name, None)), f"mal2gcn.{module_name}.{fn_name}"
